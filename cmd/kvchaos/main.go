@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"repro/adaptivekv"
+	"repro/internal/chaosledger"
 	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/kvproto"
@@ -67,35 +68,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// splitmix64 scrambles a counter into an independent-looking draw.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// ttlGrace pads client-side deadline checks: the server's coarse expiry
-// clock advances on sweeper ticks (default 100ms), so a value can
-// legally survive its deadline by one tick plus scheduling noise.
-const ttlGrace = time.Second
-
-// keyState is one key's write history on its single-writer client.
-type keyState struct {
-	acked     uint64              // newest acknowledged version (0 = none)
-	tried     uint64              // newest attempted version
-	pending   map[uint64]struct{} // unacked versions that may still land
-	deadlines map[uint64]int64    // version -> absolute TTL deadline (unix nanos), TTL keys only
-}
-
 // chaosClient drives one connection's op mix through the fault proxy and
 // checks the durability invariant. Keys are namespaced per client so each
 // key has exactly one writer and the version window argument is sound.
 type chaosClient struct {
 	id    int
 	rc    *kvproto.ReconnectClient
-	rng   uint64
-	keys  []keyState
+	rng   chaosledger.Rand
+	keys  []chaosledger.Key
 	names [][]byte
 	vsize int
 	ttl   time.Duration // nonzero: every 4th key is written with this TTL
@@ -119,15 +99,14 @@ func newChaosClient(id int, addr string, seed uint64, nkeys, vsize int, ttl time
 			Seed:         seed,
 			Counters:     ctrs,
 		}),
-		rng:   seed | 1,
-		keys:  make([]keyState, nkeys),
+		rng:   chaosledger.NewRand(seed),
+		keys:  make([]chaosledger.Key, nkeys),
 		names: make([][]byte, nkeys),
 		vsize: vsize,
 		ttl:   ttl,
 	}
 	for j := range cc.keys {
-		cc.keys[j].pending = make(map[uint64]struct{})
-		cc.keys[j].deadlines = make(map[uint64]int64)
+		cc.keys[j] = chaosledger.NewKey()
 		cc.names[j] = []byte(fmt.Sprintf("c%dk%d", id, j))
 	}
 	return cc
@@ -136,58 +115,13 @@ func newChaosClient(id int, addr string, seed uint64, nkeys, vsize int, ttl time
 // ttlKey reports whether key j carries a TTL on every write.
 func (cc *chaosClient) ttlKey(j int) bool { return cc.ttl > 0 && j%4 == 0 }
 
-func (cc *chaosClient) next() uint64 {
-	cc.rng ^= cc.rng << 13
-	cc.rng ^= cc.rng >> 7
-	cc.rng ^= cc.rng << 17
-	return cc.rng
-}
-
-// encodeValue renders "<version>|<key>|xxx..." padded to vsize so the
-// integrity check covers both identity and payload bytes.
-func encodeValue(ver uint64, key []byte, vsize int) []byte {
-	v := make([]byte, 0, vsize+32)
-	v = strconv.AppendUint(v, ver, 10)
-	v = append(v, '|')
-	v = append(v, key...)
-	v = append(v, '|')
-	for len(v) < vsize {
-		v = append(v, 'x')
-	}
-	return v
-}
-
-// decodeValue parses and integrity-checks an encoded value.
-func decodeValue(v []byte) (ver uint64, key []byte, err error) {
-	i := bytes.IndexByte(v, '|')
-	if i < 1 {
-		return 0, nil, errors.New("missing version field")
-	}
-	ver, perr := strconv.ParseUint(string(v[:i]), 10, 64)
-	if perr != nil {
-		return 0, nil, errors.New("bad version field")
-	}
-	rest := v[i+1:]
-	j := bytes.IndexByte(rest, '|')
-	if j < 1 {
-		return 0, nil, errors.New("missing key field")
-	}
-	key = rest[:j]
-	for _, b := range rest[j+1:] {
-		if b != 'x' {
-			return 0, nil, errors.New("corrupt padding")
-		}
-	}
-	return ver, key, nil
-}
-
 func (cc *chaosClient) violate(format string, args ...any) {
 	cc.violations = append(cc.violations, fmt.Sprintf("client %d: %s", cc.id, fmt.Sprintf(format, args...)))
 }
 
 func (cc *chaosClient) run(nops uint64) {
 	for i := uint64(0); i < nops && cc.fatal == nil && len(cc.violations) < 20; i++ {
-		r := cc.next()
+		r := cc.rng.Next()
 		j := int((r >> 8) % uint64(len(cc.keys)))
 		if r%5 == 0 {
 			cc.doSet(j)
@@ -200,29 +134,21 @@ func (cc *chaosClient) run(nops uint64) {
 
 func (cc *chaosClient) doSet(j int) {
 	ks := &cc.keys[j]
-	ver := ks.tried + 1
-	ks.tried = ver
+	ver := ks.Begin()
 	var exptime int64
 	if cc.ttlKey(j) {
-		// Client-computed ABSOLUTE deadline in unix seconds (always above
-		// the relative/absolute pivot), so every layer — reconnect
-		// replays included — carries the same expiry instant verbatim.
-		expSec := time.Now().Add(cc.ttl).Unix() + 1
-		exptime = expSec
-		// Recorded per version, acked or not: an unacked write landing
-		// late still dies at the same absolute instant.
-		ks.deadlines[ver] = expSec * int64(time.Second)
+		exptime = ks.Expire(ver, cc.ttl)
 	}
-	err := cc.rc.Set(cc.names[j], 0, exptime, encodeValue(ver, cc.names[j], cc.vsize))
+	err := cc.rc.Set(cc.names[j], 0, exptime, chaosledger.EncodeValue(ver, cc.names[j], cc.vsize))
 	cc.sets++
 	switch {
 	case err == nil:
-		ks.acked = ver
+		ks.Acked = ver
 		cc.ackedSets++
 	case errors.Is(err, kvproto.ErrUnacked):
 		// Ambiguous: the write may land at any point until the dead
 		// connection's handler unwinds. Widen the valid window.
-		ks.pending[ver] = struct{}{}
+		ks.Pending[ver] = struct{}{}
 		cc.unackedSets++
 	default:
 		cc.fatal = fmt.Errorf("client %d: set %s: %w", cc.id, cc.names[j], err)
@@ -242,36 +168,19 @@ func (cc *chaosClient) doGet(j int) {
 		// Miss: always legal. Note when it is the expected outcome of a
 		// read past the acked version's deadline — those misses are what
 		// the expiry-accounting cross-check below feeds on.
-		if d, has := ks.deadlines[ks.acked]; has && sent.UnixNano() > d+int64(ttlGrace) {
+		if ks.Expired(ks.Acked, sent) {
 			cc.expiredMisses++
 		}
 		return
 	}
 	cc.hits++
-	ver, key, derr := decodeValue(v)
-	if derr != nil {
-		cc.violate("get %s returned corrupt value (%v): %q", cc.names[j], derr, v)
-		return
+	ver, err := ks.Check(cc.names[j], v, sent)
+	if err == nil {
+		err = ks.CheckWindow(ver)
 	}
-	if !bytes.Equal(key, cc.names[j]) {
-		cc.violate("get %s returned value for key %s", cc.names[j], key)
-		return
+	if err != nil {
+		cc.violate("get %s %v", cc.names[j], err)
 	}
-	// TTL honesty: ANY value returned after its version's deadline is a
-	// violation, regardless of the version window — expired means miss.
-	if d, has := ks.deadlines[ver]; has && sent.UnixNano() > d+int64(ttlGrace) {
-		cc.violate("get %s returned version %d at %v past its TTL deadline — expired value served",
-			cc.names[j], ver, time.Duration(sent.UnixNano()-d))
-		return
-	}
-	if ver == ks.acked {
-		return
-	}
-	if _, inFlight := ks.pending[ver]; inFlight {
-		return
-	}
-	cc.violate("get %s returned version %d; acked %d, pending %v — acknowledged write lost or stale value resurrected",
-		cc.names[j], ver, ks.acked, ks.pending)
 }
 
 // runCasLedger is the end-to-end read-modify-write atomicity gate:
@@ -426,7 +335,7 @@ func main() {
 		acceptRate = flag.Float64("accept-error-rate", 0.25, "server listener: transient accept-error probability")
 		panicRate  = flag.Float64("panic-rate", 0.001, "server: per-request injected handler panic probability")
 
-		ttl       = flag.Duration("ttl", time.Second, "TTL written on every 4th key per client (0 disables the TTL invariant)")
+		ttl = flag.Duration("ttl", time.Second, "TTL written on every 4th key per client (0 disables the TTL invariant)")
 
 		casWorkers    = flag.Int("cas-workers", 4, "post-soak cas ledger workers incrementing one shared counter (0 disables)")
 		casIncrements = flag.Int("cas-increments", 200, "increments per cas ledger worker")
@@ -457,7 +366,7 @@ func main() {
 			return
 		}
 		n := hookCalls.Add(1)
-		if float64(splitmix64(*seed^n)>>11)/(1<<53) < *panicRate {
+		if float64(chaosledger.Splitmix64(*seed^n)>>11)/(1<<53) < *panicRate {
 			hookPanics.Add(1)
 			panic(fmt.Sprintf("kvchaos: injected handler panic #%d", hookPanics.Load()))
 		}
@@ -499,7 +408,7 @@ func main() {
 	ccs := make([]*chaosClient, *clients)
 	var wg sync.WaitGroup
 	for i := range ccs {
-		ccs[i] = newChaosClient(i, node.Addr(), splitmix64(*seed+uint64(i)*7919), *nkeys, *vsize, *ttl, rctrs)
+		ccs[i] = newChaosClient(i, node.Addr(), chaosledger.Splitmix64(*seed+uint64(i)*7919), *nkeys, *vsize, *ttl, rctrs)
 		wg.Add(1)
 		go func(cc *chaosClient) {
 			defer wg.Done()

@@ -115,21 +115,21 @@ func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:11311", "adaptcached address")
 		targets = flag.String("targets", "", "comma-separated server addresses; workers spread round-robin and the report breaks ops/errors out per target (overrides -addr)")
-		conns  = flag.Int("conns", 4, "concurrent connections (workers)")
-		ops    = flag.Uint64("ops", 400000, "total operations across all connections")
-		mix    = flag.String("mix", "zipf", "workload mix: zipf|loop")
-		hot    = flag.Uint64("hot", 65536, "zipf mix: hot-set size in keys")
-		skew   = flag.Float64("skew", 0.8, "zipf mix: skew exponent")
-		loop   = flag.Uint64("loop", 12000, "loop mix: loop length in keys")
-		vsize  = flag.Int("valuesize", 64, "value payload bytes")
-		seed   = flag.Uint64("seed", 1, "base workload seed (each connection offsets it)")
-		depth  = flag.Int("pipeline", 32, "requests in flight per connection (1 = strict request/reply)")
-		mget   = flag.Int("multiget", 1, "keys per get request (>1 sends multi-key 'get k1 k2 ...'; capped at the protocol limit)")
-		procs  = flag.Int("procs", 0, "pin GOMAXPROCS for the generator (0 = leave ambient)")
-		minOps = flag.Uint64("min-ops", 0, "fail (exit 1) if throughput is below this many ops/s")
-		maxP99 = flag.Duration("max-p99", 0, "fail (exit 1) if client-observed p99 round-trip latency exceeds this (0 = no gate)")
-		direct = flag.Bool("direct", false, "skip the network: drive an in-process adaptivekv cache")
-		ttlDur = flag.Duration("ttl", 0, "finite TTL for the even half of the keyspace (0 = nothing expires); expired reads are reported")
+		conns   = flag.Int("conns", 4, "concurrent connections (workers)")
+		ops     = flag.Uint64("ops", 400000, "total operations across all connections")
+		mix     = flag.String("mix", "zipf", "workload mix: zipf|loop")
+		hot     = flag.Uint64("hot", 65536, "zipf mix: hot-set size in keys")
+		skew    = flag.Float64("skew", 0.8, "zipf mix: skew exponent")
+		loop    = flag.Uint64("loop", 12000, "loop mix: loop length in keys")
+		vsize   = flag.Int("valuesize", 64, "value payload bytes")
+		seed    = flag.Uint64("seed", 1, "base workload seed (each connection offsets it)")
+		depth   = flag.Int("pipeline", 32, "requests in flight per connection (1 = strict request/reply)")
+		mget    = flag.Int("multiget", 1, "keys per get request (>1 sends multi-key 'get k1 k2 ...'; capped at the protocol limit)")
+		procs   = flag.Int("procs", 0, "pin GOMAXPROCS for the generator (0 = leave ambient)")
+		minOps  = flag.Uint64("min-ops", 0, "fail (exit 1) if throughput is below this many ops/s")
+		maxP99  = flag.Duration("max-p99", 0, "fail (exit 1) if client-observed p99 round-trip latency exceeds this (0 = no gate)")
+		direct  = flag.Bool("direct", false, "skip the network: drive an in-process adaptivekv cache")
+		ttlDur  = flag.Duration("ttl", 0, "finite TTL for the even half of the keyspace (0 = nothing expires); expired reads are reported")
 	)
 	flag.Parse()
 	if *procs > 0 {

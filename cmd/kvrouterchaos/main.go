@@ -70,32 +70,23 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/adaptivekv"
+	"repro/internal/chaosledger"
 	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/kvcluster"
 	"repro/internal/kvproto"
 	"repro/internal/kvserver"
 )
-
-// splitmix64 scrambles a counter into an independent-looking draw.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // Soak phases. Expectations differ per phase: healthy and recovered
 // phases tolerate no failures at all; the outage phase tolerates them
@@ -108,19 +99,12 @@ const (
 
 var phaseNames = [...]string{"healthy", "outage", "recovered"}
 
-// ttlGrace pads client-side deadline checks: each backend's coarse
-// expiry clock advances on sweeper ticks (default 100ms), so a value can
-// legally survive its deadline by one tick plus scheduling noise.
-const ttlGrace = time.Second
-
-// keyState is one key's write history on its single-writer client.
+// keyState is one key's write history on its single-writer client: the
+// shared ledger core plus the routing tier's two extra version sets.
 type keyState struct {
-	acked     uint64              // newest acknowledged version (0 = none)
-	tried     uint64              // newest attempted version
-	pending   map[uint64]struct{} // unacked versions that may still land
+	chaosledger.Key
 	failed    map[uint64]struct{} // cleanly-failed versions that must never land
 	everAcked map[uint64]struct{} // every version ever acknowledged (replicated-mode window)
-	deadlines map[uint64]int64    // version -> absolute TTL deadline (unix nanos), TTL keys only
 }
 
 // routedClient drives one connection's op mix through the router and
@@ -130,7 +114,7 @@ type keyState struct {
 type routedClient struct {
 	id     int
 	rc     *kvproto.ReconnectClient
-	rng    uint64
+	rng    chaosledger.Rand
 	keys   []keyState
 	names  [][]byte
 	owners []int // ring owner per key, static for the drill
@@ -168,7 +152,7 @@ func newRoutedClient(id int, addr string, seed uint64, nkeys, vsize int, cl *kvc
 			MaxBackoff:   100 * time.Millisecond,
 			Seed:         seed,
 		}),
-		rng:    seed | 1,
+		rng:    chaosledger.NewRand(seed),
 		keys:   make([]keyState, nkeys),
 		names:  make([][]byte, nkeys),
 		owners: make([]int, nkeys),
@@ -176,10 +160,11 @@ func newRoutedClient(id int, addr string, seed uint64, nkeys, vsize int, cl *kvc
 		killed: -1,
 	}
 	for j := range c.keys {
-		c.keys[j].pending = make(map[uint64]struct{})
-		c.keys[j].failed = make(map[uint64]struct{})
-		c.keys[j].everAcked = make(map[uint64]struct{})
-		c.keys[j].deadlines = make(map[uint64]int64)
+		c.keys[j] = keyState{
+			Key:       chaosledger.NewKey(),
+			failed:    make(map[uint64]struct{}),
+			everAcked: make(map[uint64]struct{}),
+		}
 		c.names[j] = []byte(fmt.Sprintf("r%dk%d", id, j))
 		c.owners[j] = cl.Ring().OwnerIndex(c.names[j])
 	}
@@ -188,13 +173,6 @@ func newRoutedClient(id int, addr string, seed uint64, nkeys, vsize int, cl *kvc
 
 // ttlKey reports whether key j carries a TTL on every write.
 func (c *routedClient) ttlKey(j int) bool { return c.ttl > 0 && j%4 == 0 }
-
-func (c *routedClient) next() uint64 {
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
-	return c.rng
-}
 
 func (c *routedClient) violate(format string, args ...any) {
 	c.violations = append(c.violations, fmt.Sprintf("client %d [%s]: %s",
@@ -228,47 +206,9 @@ func unackedReply(err error) bool {
 	return errors.As(err, &se) && se.Msg == "unacked"
 }
 
-// encodeValue renders "<version>|<key>|xxx..." padded to vsize so the
-// integrity check covers both identity and payload bytes.
-func encodeValue(ver uint64, key []byte, vsize int) []byte {
-	v := make([]byte, 0, vsize+32)
-	v = strconv.AppendUint(v, ver, 10)
-	v = append(v, '|')
-	v = append(v, key...)
-	v = append(v, '|')
-	for len(v) < vsize {
-		v = append(v, 'x')
-	}
-	return v
-}
-
-// decodeValue parses and integrity-checks an encoded value.
-func decodeValue(v []byte) (ver uint64, key []byte, err error) {
-	i := bytes.IndexByte(v, '|')
-	if i < 1 {
-		return 0, nil, errors.New("missing version field")
-	}
-	ver, perr := strconv.ParseUint(string(v[:i]), 10, 64)
-	if perr != nil {
-		return 0, nil, errors.New("bad version field")
-	}
-	rest := v[i+1:]
-	j := bytes.IndexByte(rest, '|')
-	if j < 1 {
-		return 0, nil, errors.New("missing key field")
-	}
-	key = rest[:j]
-	for _, b := range rest[j+1:] {
-		if b != 'x' {
-			return 0, nil, errors.New("corrupt padding")
-		}
-	}
-	return ver, key, nil
-}
-
 func (c *routedClient) run(nops uint64) {
 	for i := uint64(0); i < nops && c.fatal == nil && len(c.violations) < 20; i++ {
-		r := c.next()
+		r := c.rng.Next()
 		j := int((r >> 8) % uint64(len(c.keys)))
 		switch {
 		case r%13 == 0:
@@ -284,18 +224,12 @@ func (c *routedClient) run(nops uint64) {
 
 func (c *routedClient) doSet(j int) {
 	ks := &c.keys[j]
-	ver := ks.tried + 1
-	ks.tried = ver
-	val := encodeValue(ver, c.names[j], c.vsize)
+	ver := ks.Begin()
+	val := chaosledger.EncodeValue(ver, c.names[j], c.vsize)
 	var exptime int64
 	if c.ttlKey(j) {
-		// Client-computed ABSOLUTE deadline in unix seconds (always above
-		// the relative/absolute pivot): the router, the cluster fan-out,
-		// and any reconnect replay all carry the same expiry instant, so
-		// both owners of a replicated key agree on when it dies.
-		expSec := time.Now().Add(c.ttl).Unix() + 1
-		exptime = expSec
-		ks.deadlines[ver] = expSec * int64(time.Second)
+		// Both owners of a replicated key get the same absolute instant.
+		exptime = ks.Expire(ver, c.ttl)
 	}
 	err := c.rc.Set(c.names[j], 0, exptime, val)
 	c.sets++
@@ -313,7 +247,7 @@ func (c *routedClient) doSet(j int) {
 	}
 	switch {
 	case err == nil:
-		ks.acked = ver
+		ks.Acked = ver
 		ks.everAcked[ver] = struct{}{}
 		c.ackedSets++
 		if c.deadOwner(j) {
@@ -321,7 +255,7 @@ func (c *routedClient) doSet(j int) {
 		}
 	case unackedReply(err):
 		// Ambiguous: the write may have been applied. Widen the window.
-		ks.pending[ver] = struct{}{}
+		ks.Pending[ver] = struct{}{}
 		c.unackedSeen++
 	default:
 		// Clean failure: every layer reports this version was never
@@ -344,21 +278,12 @@ func (c *routedClient) doSet(j int) {
 // reply a TTL violation.
 func (c *routedClient) checkHit(j int, v []byte, sent time.Time) {
 	ks := &c.keys[j]
-	ver, key, derr := decodeValue(v)
-	if derr != nil {
-		c.violate("get %s returned corrupt value (%v): %q", c.names[j], derr, v)
-		return
-	}
-	if !bytes.Equal(key, c.names[j]) {
-		c.violate("get %s returned value for key %s", c.names[j], key)
-		return
-	}
-	// TTL honesty outranks every version-window allowance below: an
-	// expired version must read as a miss even from a diverged replica
-	// inside the failover window.
-	if d, has := ks.deadlines[ver]; has && sent.UnixNano() > d+int64(ttlGrace) {
-		c.violate("get %s returned version %d at %v past its TTL deadline — expired value served",
-			c.names[j], ver, time.Duration(sent.UnixNano()-d))
+	// TTL honesty (inside Check) outranks every version-window allowance
+	// below: an expired version must read as a miss even from a diverged
+	// replica inside the failover window.
+	ver, err := ks.Check(c.names[j], v, sent)
+	if err != nil {
+		c.violate("get %s %v", c.names[j], err)
 		return
 	}
 	if _, wasCleanFail := ks.failed[ver]; wasCleanFail {
@@ -366,10 +291,8 @@ func (c *routedClient) checkHit(j int, v []byte, sent time.Time) {
 			c.names[j], ver)
 		return
 	}
-	if ver == ks.acked {
-		return
-	}
-	if _, inFlight := ks.pending[ver]; inFlight {
+	err = ks.CheckWindow(ver)
+	if err == nil {
 		return
 	}
 	if c.failoverWindow(j) {
@@ -382,8 +305,7 @@ func (c *routedClient) checkHit(j int, v []byte, sent time.Time) {
 			return
 		}
 	}
-	c.violate("get %s returned version %d; acked %d, pending %v — acknowledged write lost or stale value resurrected",
-		c.names[j], ver, ks.acked, ks.pending)
+	c.violate("get %s %v", c.names[j], err)
 }
 
 func (c *routedClient) doGet(j int) {
@@ -508,7 +430,7 @@ func main() {
 				WriteTimeout: 2 * time.Second,
 			},
 			ListenFaults: &faultnet.Config{
-				Seed:            splitmix64(*seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15),
+				Seed:            chaosledger.Splitmix64(*seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15),
 				AcceptErrorRate: *acceptRate,
 			},
 		}
@@ -554,7 +476,7 @@ func main() {
 
 	ccs := make([]*routedClient, *clients)
 	for i := range ccs {
-		ccs[i] = newRoutedClient(i, ln.Addr().String(), splitmix64(*seed+uint64(i)*7919), *nkeys, *vsize, cl)
+		ccs[i] = newRoutedClient(i, ln.Addr().String(), chaosledger.Splitmix64(*seed+uint64(i)*7919), *nkeys, *vsize, cl)
 		ccs[i].replicated = replicated
 		ccs[i].retryPatience = 8 * time.Second
 		ccs[i].ttl = *ttl
@@ -573,7 +495,7 @@ func main() {
 	// fails fast). Replicated mode partitions it instead — the cache
 	// stays hot, which is the hard reintegration case — and the replica
 	// must keep the whole keyspace available.
-	kill := int(splitmix64(*seed^0x6b696c6c) % uint64(*nodes)) // "kill"
+	kill := int(chaosledger.Splitmix64(*seed^0x6b696c6c) % uint64(*nodes)) // "kill"
 	if replicated {
 		fmt.Printf("kvrouterchaos: partitioning node %d (%s)\n", kill, f.Nodes[kill].Addr())
 		f.Nodes[kill].Partition()

@@ -20,14 +20,16 @@
 //     and table.
 //   - internal/kvproto — the memcached-style text protocol spoken by the
 //     key-value binaries (get/gets/set/cas/delete/stats/quit), including
-//     the reconnecting client with its never-replay-ambiguous-writes
-//     contract (ambiguous cas is never replayed at all: a replay could
-//     consume its own unique and report a false EXISTS).
+//     the reconnecting client: idempotent ops replay under one retry
+//     helper, and set/cas/delete run under one at-most-once helper that
+//     is the whole never-replay-ambiguous-writes contract (a replayed cas
+//     could consume its own unique and report a false EXISTS).
 //   - internal/kvcluster — the routing tier: seeded consistent-hash ring,
 //     per-node connection pools with failure-threshold ejection and probed
 //     reintegration, scatter-gather multi-key gets, optional R=2
-//     replication (sync-owner writes with best-effort replica fan-out,
-//     read failover in ring order, flush-on-reintegrate), node-local cas
+//     replication (sync-owner writes with best-effort replica fan-out and
+//     read failover in ring order, each in one helper;
+//     flush-on-reintegrate), node-local cas
 //     uniques (cas gates on the sync owner; a unique that survived a
 //     failover answers EXISTS, never a lost update), and the kvproto
 //     Router served on kvserver's hardened core.
@@ -36,7 +38,9 @@
 //     shedding, panic isolation, drain) shared with the router.
 //   - internal/fleet — in-process node fleets with kill/restart for chaos
 //     drivers and tests; internal/faultnet — seeded network fault
-//     injection.
+//     injection; internal/chaosledger — the chaos drills' shared
+//     verifying-client ledger (per-key version window, value codec, TTL
+//     deadlines).
 //   - adaptivekv — a sharded concurrent key-value cache whose replacement
 //     decisions are made by the adaptive engine (the paper's scheme doing
 //     real work, not simulation), with per-entry cas uniques for atomic

@@ -44,13 +44,13 @@ type Node struct {
 
 	mu          sync.Mutex
 	srv         *kvserver.Server
-	ln          net.Listener      // base listener; nil while killed or partitioned
-	wrapped     net.Listener      // fault-wrapped view served from (== ln when unwrapped)
-	proxy       *faultnet.Proxy   // nil unless ProxyFaults
-	addr        string            // server address, stable across restarts
+	ln          net.Listener       // base listener; nil while killed or partitioned
+	wrapped     net.Listener       // fault-wrapped view served from (== ln when unwrapped)
+	proxy       *faultnet.Proxy    // nil unless ProxyFaults
+	addr        string             // server address, stable across restarts
 	flis        *faultnet.Listener // non-nil when ListenFaults wrapped
-	tracker     *connTracker      // outermost listener; lets Partition sever live conns
-	partitioned bool              // true between Partition and Heal
+	tracker     *connTracker       // outermost listener; lets Partition sever live conns
+	partitioned bool               // true between Partition and Heal
 }
 
 // connTracker records every connection the server accepts so Partition

@@ -403,9 +403,7 @@ func (cl *Cluster) ownersFor(buf []int, key []byte) []int {
 }
 
 // syncOwner picks the write target: the first non-ejected owner, or -1
-// when the whole replica set is down. Writes never fail over mid-op —
-// an owner that dies between the pick and the ack surfaces as an error
-// rather than silently acking on a node the next read won't prefer.
+// when the whole replica set is down.
 func (cl *Cluster) syncOwner(owners []int) int {
 	for _, o := range owners {
 		if !cl.pools[o].ejected.Load() {
@@ -415,158 +413,101 @@ func (cl *Cluster) syncOwner(owners []int) int {
 	return -1
 }
 
-// Get fetches key from its primary owner, failing over to the next
-// live replica when the primary is ejected or fails mid-op. The
-// returned value is a fresh copy (safe to retain). With the whole
-// replica set down it fails fast with ErrNodeDown.
-func (cl *Cluster) Get(key []byte) (val []byte, ok bool, err error) {
-	cl.m.routed[ixGet].Inc()
-	var ownBuf [8]int
-	owners := cl.ownersFor(ownBuf[:0], key)
-	var lastErr error
-	for ai, o := range owners {
-		p := cl.pools[o]
-		if p.ejected.Load() {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
-			}
-			continue
-		}
-		if ai > 0 {
-			cl.m.failoverReads.Inc()
-		}
-		c, cerr := p.get()
-		if cerr != nil {
-			// Lost the race with an ejection between the check and the
-			// checkout; treat it like finding the node already ejected.
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
-			}
-			continue
-		}
-		start := time.Now()
-		v, hit, gerr := c.Get(key)
-		cl.m.nodeRTT[p.idx].Record(time.Since(start))
-		if hit {
-			val = append([]byte(nil), v...)
-		}
-		p.put(c)
-		cl.observe(p, gerr)
-		if gerr == nil {
-			return val, hit, nil
-		}
-		val = nil
-		if kvproto.Recoverable(gerr) && !kvproto.IsBusy(gerr) {
-			// The server rejected the request itself; every replica
-			// would reject it identically, so don't retry sideways.
-			cl.m.failed[ixGet].Inc()
-			return nil, false, fmt.Errorf("kvcluster: get via %s: %w", p.addr, gerr)
-		}
-		lastErr = fmt.Errorf("kvcluster: get via %s: %w", p.addr, gerr)
-	}
-	cl.m.failed[ixGet].Inc()
-	return nil, false, lastErr
-}
+// nodeDown is the error for an operation whose node is ejected.
+func nodeDown(p *nodePool) error { return fmt.Errorf("%w: %s", ErrNodeDown, p.addr) }
 
-// Gets fetches key together with its flags and cas unique, with Get's
-// exact routing: primary owner first, failing over to the next live
-// replica when the primary is ejected or fails mid-op. The returned
-// value is a fresh copy (safe to retain).
-//
-// Cas uniques are node-local: the unique returned here identifies a
-// version on whichever node answered. A later Cas gates on the replica
-// set's current synchronous owner, so a unique fetched from a failover
-// replica (or from a primary that was ejected in between) will not match
-// that owner's counter and the cas answers EXISTS — the caller re-reads
-// and retries, and a stale swap is never silently applied.
-func (cl *Cluster) Gets(key []byte) (val []byte, flags uint32, casid uint64, ok bool, err error) {
-	cl.m.routed[ixGets].Inc()
-	var ownBuf [8]int
-	owners := cl.ownersFor(ownBuf[:0], key)
-	var lastErr error
-	for ai, o := range owners {
-		p := cl.pools[o]
-		if p.ejected.Load() {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
-			}
-			continue
-		}
-		if ai > 0 {
-			cl.m.failoverReads.Inc()
-		}
-		c, cerr := p.get()
-		if cerr != nil {
-			// Lost the race with an ejection between the check and the
-			// checkout; treat it like finding the node already ejected.
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
-			}
-			continue
-		}
-		start := time.Now()
-		v, f, id, hit, gerr := c.Gets(key)
-		cl.m.nodeRTT[p.idx].Record(time.Since(start))
-		if hit {
-			val = append([]byte(nil), v...)
-		}
-		p.put(c)
-		cl.observe(p, gerr)
-		if gerr == nil {
-			return val, f, id, hit, nil
-		}
-		val = nil
-		if kvproto.Recoverable(gerr) && !kvproto.IsBusy(gerr) {
-			// The server rejected the request itself; every replica
-			// would reject it identically, so don't retry sideways.
-			cl.m.failed[ixGets].Inc()
-			return nil, 0, 0, false, fmt.Errorf("kvcluster: gets via %s: %w", p.addr, gerr)
-		}
-		lastErr = fmt.Errorf("kvcluster: gets via %s: %w", p.addr, gerr)
-	}
-	cl.m.failed[ixGets].Inc()
-	return nil, 0, 0, false, lastErr
-}
-
-// setOn runs one Set against one node's pool, with health accounting.
-// exptime arrives already normalized to its absolute form by Set, so the
-// synchronous owner and every replica store the same deadline.
-func (cl *Cluster) setOn(p *nodePool, key []byte, flags uint32, exptime int64, val []byte) error {
+// call runs fn on a client checked out of p's pool: it times the round
+// trip into the node's RTT histogram, returns the client, and feeds the
+// outcome to node health. It is the only place an operation touches a
+// pool. A checkout refused because the node is ejected returns the bare
+// ErrNodeDown without running fn or touching health.
+func (cl *Cluster) call(p *nodePool, fn func(*kvproto.ReconnectClient) error) error {
 	c, err := p.get()
 	if err != nil {
-		return fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
+		return err
 	}
 	start := time.Now()
-	err = c.Set(key, flags, exptime, val)
+	err = fn(c)
 	cl.m.nodeRTT[p.idx].Record(time.Since(start))
 	p.put(c)
 	cl.observe(p, err)
 	return err
 }
 
-// deleteOn runs one Delete against one node's pool, with health
-// accounting.
-func (cl *Cluster) deleteOn(p *nodePool, key []byte) (bool, error) {
-	c, err := p.get()
-	if err != nil {
-		return false, fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
+// read runs a single-key read (op ix) through key's replica set in ring
+// order: the primary first, failing over to the next live owner when an
+// owner is ejected or fails mid-op, so fn may run on several owners;
+// on success the caller sees the last run's results. A recoverable
+// protocol rejection fails at once: every replica would reject the
+// request identically, so it is not retried sideways. With the whole
+// replica set down the read fails fast with ErrNodeDown.
+func (cl *Cluster) read(ix int, key []byte, fn func(*kvproto.ReconnectClient) error) error {
+	cl.m.routed[ix].Inc()
+	var ownBuf [8]int
+	var lastErr error
+	for ai, o := range cl.ownersFor(ownBuf[:0], key) {
+		p := cl.pools[o]
+		err := ErrNodeDown
+		if !p.ejected.Load() {
+			if ai > 0 {
+				cl.m.failoverReads.Inc()
+			}
+			if err = cl.call(p, fn); err == nil {
+				return nil
+			}
+		}
+		if err == ErrNodeDown {
+			// Ejected, possibly between the check and the checkout.
+			if lastErr == nil {
+				lastErr = nodeDown(p)
+			}
+			continue
+		}
+		lastErr = fmt.Errorf("kvcluster: %s via %s: %w", ixNames[ix], p.addr, err)
+		if kvproto.Recoverable(err) && !kvproto.IsBusy(err) {
+			break
+		}
 	}
-	start := time.Now()
-	found, err := c.Delete(key)
-	cl.m.nodeRTT[p.idx].Record(time.Since(start))
-	p.put(c)
-	cl.observe(p, err)
-	return found, err
+	cl.m.failed[ix].Inc()
+	return lastErr
 }
 
-// replicate fans a write out to key's non-primary owners after the
-// synchronous ack is already earned. Replica writes are strictly
+// write runs a write (op ix) under the sync-owner contract: do runs on
+// the first live owner alone and the ack gates only on that node. Writes
+// never fail over mid-op — an owner that dies between the pick and the
+// ack surfaces as an error rather than silently acking on a node the
+// next read won't prefer — and the backend client never replays an
+// ambiguous write, so an ErrUnacked from the synchronous owner
+// propagates unchanged: the caller owns the idempotency decision,
+// exactly as with a single node.
+//
+// Once the ack is earned, and if replicateIf (nil means always) agrees,
+// replica runs on every other owner. Replica writes are strictly
 // best-effort: a skipped (ejected) or failed replica only bumps the
 // divergence counter — reads prefer the primary, and reintegration
 // flushes close the stale window — and an ambiguous replica write is
 // additionally tallied so unacked reconciliation can subtract writes
 // that never gated a client ack.
-func (cl *Cluster) replicate(owners []int, sync int, do func(p *nodePool) error) {
+func (cl *Cluster) write(ix int, key []byte, do func(*kvproto.ReconnectClient) error, replicateIf func() bool, replica func(*kvproto.ReconnectClient) error) error {
+	cl.m.routed[ix].Inc()
+	var ownBuf [8]int
+	owners := cl.ownersFor(ownBuf[:0], key)
+	sync := cl.syncOwner(owners)
+	if sync < 0 {
+		cl.m.failed[ix].Inc()
+		return nodeDown(cl.pools[owners[0]])
+	}
+	p := cl.pools[sync]
+	if err := cl.call(p, do); err != nil {
+		cl.m.failed[ix].Inc()
+		if err == ErrNodeDown {
+			return nodeDown(p)
+		}
+		return fmt.Errorf("kvcluster: %s via %s: %w", ixNames[ix], p.addr, err)
+	}
+	if replicateIf != nil && !replicateIf() {
+		return nil
+	}
 	for _, o := range owners {
 		if o == sync {
 			continue
@@ -576,133 +517,113 @@ func (cl *Cluster) replicate(owners []int, sync int, do func(p *nodePool) error)
 			cl.m.replicaWriteFailures.Inc()
 			continue
 		}
-		if rerr := do(rp); rerr != nil {
+		if rerr := cl.call(rp, replica); rerr != nil {
 			cl.m.replicaWriteFailures.Inc()
 			if errors.Is(rerr, kvproto.ErrUnacked) {
 				cl.m.replicaUnacked.Inc()
 			}
 		}
 	}
+	return nil
 }
 
-// Set stores val under key on the first live owner; the ack gates only
-// on that node, then the write is replicated best-effort to the other
-// owners. The backend client never replays an ambiguous write, so an
-// ErrUnacked from the synchronous owner propagates unchanged — the
-// caller owns the idempotency decision, exactly as with a single node.
+// Get fetches key through read's failover. The returned value is a
+// fresh copy (safe to retain).
+func (cl *Cluster) Get(key []byte) (val []byte, ok bool, err error) {
+	err = cl.read(ixGet, key, func(c *kvproto.ReconnectClient) error {
+		v, hit, err := c.Get(key)
+		if err == nil && hit {
+			val = append([]byte(nil), v...)
+		}
+		ok = hit
+		return err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return val, ok, nil
+}
+
+// Gets fetches key together with its flags and cas unique, with Get's
+// exact routing. The returned value is a fresh copy (safe to retain).
+//
+// Cas uniques are node-local: the unique returned here identifies a
+// version on whichever node answered. A later Cas gates on the replica
+// set's current synchronous owner, so a unique fetched from a failover
+// replica (or from a primary that was ejected in between) will not match
+// that owner's counter and the cas answers EXISTS — the caller re-reads
+// and retries, and a stale swap is never silently applied.
+func (cl *Cluster) Gets(key []byte) (val []byte, flags uint32, casid uint64, ok bool, err error) {
+	err = cl.read(ixGets, key, func(c *kvproto.ReconnectClient) error {
+		v, f, id, hit, err := c.Gets(key)
+		if err == nil && hit {
+			val = append([]byte(nil), v...)
+		}
+		flags, casid, ok = f, id, hit
+		return err
+	})
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	return val, flags, casid, ok, nil
+}
+
+// Set stores val under key through write: the ack gates on the first
+// live owner, then the same set is replicated best-effort.
 //
 // A relative exptime is normalized to its absolute form once at entry,
 // so the synchronous owner, every replica, and any backend-level retry
 // all carry the identical deadline — replication lag can never extend a
 // value's life on one owner relative to another.
 func (cl *Cluster) Set(key []byte, flags uint32, exptime int64, val []byte) error {
-	cl.m.routed[ixSet].Inc()
 	exptime = kvproto.AbsoluteExptime(exptime, time.Now())
-	var ownBuf [8]int
-	owners := cl.ownersFor(ownBuf[:0], key)
-	sync := cl.syncOwner(owners)
-	if sync < 0 {
-		cl.m.failed[ixSet].Inc()
-		return fmt.Errorf("%w: %s", ErrNodeDown, cl.pools[owners[0]].addr)
-	}
-	p := cl.pools[sync]
-	if err := cl.setOn(p, key, flags, exptime, val); err != nil {
-		cl.m.failed[ixSet].Inc()
-		if errors.Is(err, ErrNodeDown) {
-			return err
-		}
-		return fmt.Errorf("kvcluster: set via %s: %w", p.addr, err)
-	}
-	cl.replicate(owners, sync, func(rp *nodePool) error {
-		return cl.setOn(rp, key, flags, exptime, val)
-	})
-	return nil
-}
-
-// casOn runs one Cas against one node's pool, with health accounting.
-// exptime arrives already normalized to its absolute form by Cas.
-func (cl *Cluster) casOn(p *nodePool, key []byte, flags uint32, exptime int64, casid uint64, val []byte) (kvproto.CasStatus, error) {
-	c, err := p.get()
-	if err != nil {
-		return kvproto.CasNotFound, fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
-	}
-	start := time.Now()
-	st, err := c.Cas(key, flags, exptime, casid, val)
-	cl.m.nodeRTT[p.idx].Record(time.Since(start))
-	p.put(c)
-	cl.observe(p, err)
-	return st, err
+	set := func(c *kvproto.ReconnectClient) error { return c.Set(key, flags, exptime, val) }
+	return cl.write(ixSet, key, set, nil, set)
 }
 
 // Cas atomically replaces key's value iff its cas unique — from a prior
-// Gets — still matches, with Set's ack contract: the operation gates on
-// the replica set's current synchronous owner alone and never fails over
-// sideways mid-op. Because cas uniques are node-local, a unique obtained
-// before a failover cannot match the new owner's counter: the cas
-// answers CasExists and the caller's read-modify-write loop re-reads,
-// which is exactly the safe outcome — a conflict is reported instead of
-// a lost update being applied.
+// Gets — still matches, with Set's ack contract. Because cas uniques are
+// node-local, a unique obtained before a failover cannot match the new
+// owner's counter: the cas answers CasExists and the caller's
+// read-modify-write loop re-reads, which is exactly the safe outcome — a
+// conflict is reported instead of a lost update being applied.
 //
 // A winning cas is replicated to the remaining owners as a plain set of
 // the stored value (best-effort, like Set): replica cas uniques would
 // never match anyway, and the replicas' job is only to hold the newest
 // acked value for failover reads. CasExists/CasNotFound outcomes change
 // nothing and are not replicated.
-//
-// An ambiguous attempt surfaces as ErrUnacked and is never replayed — a
-// replayed winning cas would consume its own unique and falsely report
-// a conflict.
 func (cl *Cluster) Cas(key []byte, flags uint32, exptime int64, casid uint64, val []byte) (kvproto.CasStatus, error) {
-	cl.m.routed[ixCas].Inc()
 	exptime = kvproto.AbsoluteExptime(exptime, time.Now())
-	var ownBuf [8]int
-	owners := cl.ownersFor(ownBuf[:0], key)
-	sync := cl.syncOwner(owners)
-	if sync < 0 {
-		cl.m.failed[ixCas].Inc()
-		return kvproto.CasNotFound, fmt.Errorf("%w: %s", ErrNodeDown, cl.pools[owners[0]].addr)
-	}
-	p := cl.pools[sync]
-	st, err := cl.casOn(p, key, flags, exptime, casid, val)
+	var st kvproto.CasStatus
+	err := cl.write(ixCas, key,
+		func(c *kvproto.ReconnectClient) (err error) {
+			st, err = c.Cas(key, flags, exptime, casid, val)
+			return err
+		},
+		func() bool { return st == kvproto.CasStored },
+		func(c *kvproto.ReconnectClient) error { return c.Set(key, flags, exptime, val) })
 	if err != nil {
-		cl.m.failed[ixCas].Inc()
-		if errors.Is(err, ErrNodeDown) {
-			return kvproto.CasNotFound, err
-		}
-		return kvproto.CasNotFound, fmt.Errorf("kvcluster: cas via %s: %w", p.addr, err)
-	}
-	if st == kvproto.CasStored {
-		cl.replicate(owners, sync, func(rp *nodePool) error {
-			return cl.setOn(rp, key, flags, exptime, val)
-		})
+		return kvproto.CasNotFound, err
 	}
 	return st, nil
 }
 
-// Delete removes key on the first live owner, with Set's ack and
-// replication contract.
-func (cl *Cluster) Delete(key []byte) (bool, error) {
-	cl.m.routed[ixDelete].Inc()
-	var ownBuf [8]int
-	owners := cl.ownersFor(ownBuf[:0], key)
-	sync := cl.syncOwner(owners)
-	if sync < 0 {
-		cl.m.failed[ixDelete].Inc()
-		return false, fmt.Errorf("%w: %s", ErrNodeDown, cl.pools[owners[0]].addr)
-	}
-	p := cl.pools[sync]
-	found, err := cl.deleteOn(p, key)
+// Delete removes key with Set's ack and replication contract.
+func (cl *Cluster) Delete(key []byte) (found bool, err error) {
+	err = cl.write(ixDelete, key,
+		func(c *kvproto.ReconnectClient) (err error) {
+			found, err = c.Delete(key)
+			return err
+		},
+		nil,
+		func(c *kvproto.ReconnectClient) error {
+			_, err := c.Delete(key)
+			return err
+		})
 	if err != nil {
-		cl.m.failed[ixDelete].Inc()
-		if errors.Is(err, ErrNodeDown) {
-			return false, err
-		}
-		return false, fmt.Errorf("kvcluster: delete via %s: %w", p.addr, err)
+		return false, err
 	}
-	cl.replicate(owners, sync, func(rp *nodePool) error {
-		_, rerr := cl.deleteOn(rp, key)
-		return rerr
-	})
 	return found, nil
 }
 
@@ -939,24 +860,18 @@ func (cl *Cluster) FlushAll() error {
 	for _, p := range cl.pools {
 		if p.ejected.Load() {
 			if !cl.needsReintegrationFlush() && firstErr == nil {
-				firstErr = fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
+				firstErr = nodeDown(p)
 			}
 			continue
 		}
-		c, err := p.get()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %s", ErrNodeDown, p.addr)
-			}
-			continue
+		err := cl.call(p, (*kvproto.ReconnectClient).FlushAll)
+		if err == ErrNodeDown {
+			err = nodeDown(p)
+		} else if err != nil {
+			err = fmt.Errorf("kvcluster: flush_all via %s: %w", p.addr, err)
 		}
-		start := time.Now()
-		err = c.FlushAll()
-		cl.m.nodeRTT[p.idx].Record(time.Since(start))
-		p.put(c)
-		cl.observe(p, err)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("kvcluster: flush_all via %s: %w", p.addr, err)
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -985,25 +900,16 @@ func (cl *Cluster) Replicas() int { return cl.cfg.Replicas }
 // disjoint entries of sc.refs/sc.bufs/sc.errs, so concurrent subGets
 // never race.
 func (cl *Cluster) subGet(sc *scatter, n int) {
-	p := cl.pools[n]
-	c, err := p.get()
-	if err != nil {
-		sc.errs[n] = err
-		return
-	}
 	group := sc.groups[n]
-	start := time.Now()
-	err = c.MultiGet(sc.keys[n], func(j int, flags uint32, val []byte) {
-		// A backend retry replays the whole chunk; appending again and
-		// re-pointing the ref keeps the last run's bytes, which is the
-		// idempotent-callback contract MultiGet documents.
-		gi := group[j]
-		off := len(sc.bufs[n])
-		sc.bufs[n] = append(sc.bufs[n], val...)
-		sc.refs[gi] = valRef{hit: true, flags: flags, node: n, off: off, n: len(val)}
+	sc.errs[n] = cl.call(cl.pools[n], func(c *kvproto.ReconnectClient) error {
+		return c.MultiGet(sc.keys[n], func(j int, flags uint32, val []byte) {
+			// A backend retry replays the whole chunk; appending again and
+			// re-pointing the ref keeps the last run's bytes, which is the
+			// idempotent-callback contract MultiGet documents.
+			gi := group[j]
+			off := len(sc.bufs[n])
+			sc.bufs[n] = append(sc.bufs[n], val...)
+			sc.refs[gi] = valRef{hit: true, flags: flags, node: n, off: off, n: len(val)}
+		})
 	})
-	cl.m.nodeRTT[p.idx].Record(time.Since(start))
-	p.put(c)
-	cl.observe(p, err)
-	sc.errs[n] = err
 }

@@ -187,7 +187,8 @@ var ErrCorrupt = errors.New("kvproto: corrupt stream")
 // Reader parses requests from a connection.
 type Reader struct {
 	br   *bufio.Reader
-	val  []byte   // reusable value buffer for OpSet
+	key  []byte   // reusable key buffer for OpSet/OpCas
+	val  []byte   // reusable value buffer for OpSet/OpCas
 	keys [][]byte // reusable key-slice buffer for OpGet
 }
 
@@ -444,6 +445,9 @@ func (rd *Reader) parseStore(req *Request, rest []byte, wantCas bool) error {
 		}
 		return errObjectTooLarge
 	}
+	// The key aliases the bufio buffer, which reading the data chunk may
+	// refill: copy it out first.
+	rd.key = append(rd.key[:0], key...)
 	if cap(rd.val) < int(size)+2 {
 		rd.val = make([]byte, size+2)
 	}
@@ -457,7 +461,7 @@ func (rd *Reader) parseStore(req *Request, rest []byte, wantCas bool) error {
 	if buf[size] != '\r' || buf[size+1] != '\n' {
 		return ErrCorrupt
 	}
-	req.Key = key
+	req.Key = rd.key
 	req.Flags = uint32(flags)
 	req.Exptime = int64(exptime)
 	if negExp {

@@ -320,6 +320,26 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderStoreKeySurvivesValueRead: a set or cas whose data chunk
+// arrives in a later read than its header must keep its key. The value
+// read refills the line buffer the key was parsed from, so a key left
+// aliasing that buffer came back as bytes of the value.
+func TestReaderStoreKeySurvivesValueRead(t *testing.T) {
+	for _, header := range []string{"set mykey 0 0 5\r\n", "cas mykey 0 0 5 9\r\n"} {
+		rd := NewReader(io.MultiReader(
+			strings.NewReader(header),
+			strings.NewReader("hello\r\n"),
+		))
+		var req Request
+		if err := rd.Next(&req); err != nil {
+			t.Fatalf("%q: %v", header, err)
+		}
+		if string(req.Key) != "mykey" || string(req.Value) != "hello" {
+			t.Errorf("%q: parsed key %q value %q, want mykey/hello", header, req.Key, req.Value)
+		}
+	}
+}
+
 // TestReaderReuseNoAllocs: steady-state parsing of same-sized requests
 // must not allocate once buffers are warm.
 func TestReaderReuseNoAllocs(t *testing.T) {

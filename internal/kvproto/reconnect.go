@@ -42,7 +42,7 @@ type ReconnectConfig struct {
 type ReconnectCounters struct {
 	Redials   *metrics.Counter // connections (re)established
 	Retries   *metrics.Counter // attempts beyond each operation's first
-	Unacked   *metrics.Counter // sets/deletes abandoned as ErrUnacked
+	Unacked   *metrics.Counter // sets/cas/deletes abandoned as ErrUnacked
 	Exhausted *metrics.Counter // operations that failed after MaxAttempts
 }
 
@@ -76,8 +76,9 @@ func (c ReconnectConfig) withDefaults() ReconnectConfig {
 
 // ReconnectClient is a Client that survives a flaky peer: it redials on
 // dead-stream errors with capped exponential backoff plus deterministic
-// jitter, transparently retries idempotent operations (Get, Gets, Stats),
-// and retries non-idempotent ones (Set, Delete, Cas) only while the
+// jitter. Idempotent operations (Get, Gets, MultiGet, Noop, FlushAll,
+// Stats) run under retry and are replayed transparently; non-idempotent
+// ones (Set, Delete, Cas) run under once, which retries only while the
 // request provably never reached processing (dial failure, SERVER_ERROR
 // busy shed). Once a write becomes ambiguous it fails with ErrUnacked
 // and the next operation runs on a fresh connection.
@@ -170,11 +171,13 @@ func (rc *ReconnectClient) backoff(n int) {
 	time.Sleep(d/2 + time.Duration(rc.jit%uint64(d/2+1)))
 }
 
-// Get fetches key, retrying across connection failures: a get carries no
-// state, so replaying it is always safe. The returned slice is valid
-// until the next call. Recoverable protocol rejections (bad key) are
-// returned immediately — retrying a malformed request cannot help.
-func (rc *ReconnectClient) Get(key []byte) (val []byte, ok bool, err error) {
+// retry runs an idempotent operation: every attempt that fails on a
+// dial error, a busy shed, or a dead stream drops the connection and is
+// replayed on a fresh one after backoff, since replaying a read (or a
+// flush) cannot change what the caller observes. A recoverable protocol
+// rejection (bad key) returns at once: retrying a malformed request
+// cannot help.
+func (rc *ReconnectClient) retry(op string, fn func(*Client) error) error {
 	var lastErr error
 	for a := 0; a < rc.cfg.MaxAttempts; a++ {
 		if a > 0 {
@@ -186,56 +189,27 @@ func (rc *ReconnectClient) Get(key []byte) (val []byte, ok bool, err error) {
 			lastErr = err
 			continue
 		}
-		val, ok, err = c.Get(key)
-		if err == nil {
-			return val, ok, nil
+		if err = fn(c); err == nil {
+			return nil
 		}
 		lastErr = err
 		if Recoverable(err) && !IsBusy(err) {
-			return nil, false, err
+			return err
 		}
 		rc.drop() // busy shed or dead stream: fresh connection next time
 	}
 	rc.countExhausted()
-	return nil, false, fmt.Errorf("kvproto: get failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("kvproto: %s failed after %d attempts: %w", op, rc.cfg.MaxAttempts, lastErr)
 }
 
-// Gets fetches key with its flags and cas unique, retried across
-// connection failures like Get: a gets carries no state, so replaying it
-// is always safe. The returned slice is valid until the next call.
-func (rc *ReconnectClient) Gets(key []byte) (val []byte, flags uint32, casid uint64, ok bool, err error) {
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		val, flags, casid, ok, err = c.Gets(key)
-		if err == nil {
-			return val, flags, casid, ok, nil
-		}
-		lastErr = err
-		if Recoverable(err) && !IsBusy(err) {
-			return nil, 0, 0, false, err
-		}
-		rc.drop()
-	}
-	rc.countExhausted()
-	return nil, 0, 0, false, fmt.Errorf("kvproto: gets failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
-}
-
-// Cas swaps key's value iff its unique still equals casid, under the same
-// never-replay contract as Set — and with more at stake: a replayed cas
-// that the server had already applied would consume its own unique and
-// come back EXISTS, reporting a false conflict for a swap that actually
-// won. An ambiguous attempt therefore fails as ErrUnacked, never replays.
-func (rc *ReconnectClient) Cas(key []byte, flags uint32, exptime int64, casid uint64, val []byte) (CasStatus, error) {
-	exptime = AbsoluteExptime(exptime, time.Now())
+// once runs an at-most-once operation (set, cas, delete) and is the one
+// home of the never-replay contract. An attempt is retried only while
+// the request provably never ran: the dial failed (nothing was sent) or
+// the server shed it busy (answered before processing). Any other
+// failure after the request may have been flushed is ambiguous — the
+// write may or may not have been applied — so it fails as ErrUnacked,
+// is never replayed, and the next operation runs on a fresh connection.
+func (rc *ReconnectClient) once(op string, fn func(*Client) error) error {
 	var lastErr error
 	for a := 0; a < rc.cfg.MaxAttempts; a++ {
 		if a > 0 {
@@ -247,28 +221,69 @@ func (rc *ReconnectClient) Cas(key []byte, flags uint32, exptime int64, casid ui
 			lastErr = err // nothing sent: safe to retry
 			continue
 		}
-		st, err := c.Cas(key, flags, exptime, casid, val)
+		err = fn(c)
 		switch {
 		case err == nil:
-			return st, nil
+			return nil
 		case IsBusy(err):
 			rc.drop() // shed before processing: not applied, safe to retry
 			lastErr = err
-			continue
 		case Recoverable(err):
-			return CasNotFound, err // server rejected it; replaying cannot succeed
+			return err // server rejected it; replaying cannot succeed
 		default:
 			rc.drop()
 			rc.countUnacked()
-			return CasNotFound, fmt.Errorf("%w (cas): %v", ErrUnacked, err)
+			return fmt.Errorf("%w (%s): %v", ErrUnacked, op, err)
 		}
 	}
 	rc.countExhausted()
-	return CasNotFound, fmt.Errorf("kvproto: cas failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("kvproto: %s failed after %d attempts: %w", op, rc.cfg.MaxAttempts, lastErr)
 }
 
-// Set stores val under key. Attempts are retried only while the request
-// provably never ran (dial failure, busy shed). An I/O failure after the
+// Get fetches key under retry. The returned slice is valid until the
+// next call.
+func (rc *ReconnectClient) Get(key []byte) (val []byte, ok bool, err error) {
+	err = rc.retry("get", func(c *Client) (err error) {
+		val, ok, err = c.Get(key)
+		return err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return val, ok, nil
+}
+
+// Gets fetches key with its flags and cas unique under retry. The
+// returned slice is valid until the next call.
+func (rc *ReconnectClient) Gets(key []byte) (val []byte, flags uint32, casid uint64, ok bool, err error) {
+	err = rc.retry("gets", func(c *Client) (err error) {
+		val, flags, casid, ok, err = c.Gets(key)
+		return err
+	})
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	return val, flags, casid, ok, nil
+}
+
+// Cas swaps key's value iff its unique still equals casid, at most once:
+// a replayed cas that the server had already applied would consume its
+// own unique and come back EXISTS, reporting a false conflict for a swap
+// that actually won. exptime is normalized as in Set.
+func (rc *ReconnectClient) Cas(key []byte, flags uint32, exptime int64, casid uint64, val []byte) (CasStatus, error) {
+	exptime = AbsoluteExptime(exptime, time.Now())
+	var st CasStatus
+	err := rc.once("cas", func(c *Client) (err error) {
+		st, err = c.Cas(key, flags, exptime, casid, val)
+		return err
+	})
+	if err != nil {
+		return CasNotFound, err
+	}
+	return st, nil
+}
+
+// Set stores val under key, at most once: an I/O failure after the
 // request may have been flushed returns ErrUnacked without replaying.
 //
 // A relative exptime is normalized to its absolute form once, before the
@@ -277,188 +292,60 @@ func (rc *ReconnectClient) Cas(key []byte, flags uint32, exptime int64, casid ui
 // and silently extend the value's life.
 func (rc *ReconnectClient) Set(key []byte, flags uint32, exptime int64, val []byte) error {
 	exptime = AbsoluteExptime(exptime, time.Now())
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err // nothing sent: safe to retry
-			continue
-		}
-		err = c.Set(key, flags, exptime, val)
-		switch {
-		case err == nil:
-			return nil
-		case IsBusy(err):
-			rc.drop() // shed before processing: not applied, safe to retry
-			lastErr = err
-			continue
-		case Recoverable(err):
-			return err // server rejected it; replaying cannot succeed
-		default:
-			rc.drop()
-			rc.countUnacked()
-			return fmt.Errorf("%w (set): %v", ErrUnacked, err)
-		}
-	}
-	rc.countExhausted()
-	return fmt.Errorf("kvproto: set failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return rc.once("set", func(c *Client) error {
+		return c.Set(key, flags, exptime, val)
+	})
 }
 
-// Delete removes key, with the same non-replay contract as Set (a replayed
-// delete could erase a newer concurrent write's visibility of state).
-func (rc *ReconnectClient) Delete(key []byte) (bool, error) {
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		found, err := c.Delete(key)
-		switch {
-		case err == nil:
-			return found, nil
-		case IsBusy(err):
-			rc.drop()
-			lastErr = err
-			continue
-		case Recoverable(err):
-			return false, err
-		default:
-			rc.drop()
-			rc.countUnacked()
-			return false, fmt.Errorf("%w (delete): %v", ErrUnacked, err)
-		}
+// Delete removes key, at most once like Set (a replayed delete could
+// erase a newer concurrent write's visibility of state).
+func (rc *ReconnectClient) Delete(key []byte) (found bool, err error) {
+	err = rc.once("delete", func(c *Client) (err error) {
+		found, err = c.Delete(key)
+		return err
+	})
+	if err != nil {
+		return false, err
 	}
-	rc.countExhausted()
-	return false, fmt.Errorf("kvproto: delete failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return found, nil
 }
 
 // MultiGet fetches several keys (any count — requests are chunked at
-// MaxGetKeys), retried across connection failures like Get: multi-key
-// gets carry no state, so replaying the burst is always safe. Because a
-// retry replays the whole burst, fn may be invoked more than once for
-// the same index; callers must make the callback idempotent (last write
-// wins is the natural contract). val aliases an internal buffer valid
-// only until fn returns.
+// MaxGetKeys) under retry. Because a retry replays the whole burst, fn
+// may be invoked more than once for the same index; callers must make
+// the callback idempotent (last write wins is the natural contract). val
+// aliases an internal buffer valid only until fn returns.
 func (rc *ReconnectClient) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []byte)) error {
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = c.MultiGetChunked(keys, fn)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if Recoverable(err) && !IsBusy(err) {
-			return err
-		}
-		rc.drop()
-	}
-	rc.countExhausted()
-	return fmt.Errorf("kvproto: multiget failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return rc.retry("multiget", func(c *Client) error {
+		return c.MultiGetChunked(keys, fn)
+	})
 }
 
-// Noop performs one empty round trip, retried like Get. Health probers
+// Noop performs one empty round trip under retry. Health probers
 // typically run it with MaxAttempts 1: the prober owns the retry
 // schedule, the client just reports whether this probe got through.
 func (rc *ReconnectClient) Noop() error {
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = c.Noop()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if Recoverable(err) && !IsBusy(err) {
-			return err
-		}
-		rc.drop()
-	}
-	rc.countExhausted()
-	return fmt.Errorf("kvproto: noop failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return rc.retry("noop", (*Client).Noop)
 }
 
-// FlushAll drops every entry the peer holds, retried like Get: flushing
-// is idempotent (flushing an already-empty cache changes nothing), so an
+// FlushAll drops every entry the peer holds under retry: flushing is
+// idempotent (flushing an already-empty cache changes nothing), so an
 // ambiguous failure is safely replayed rather than surfaced as
 // ErrUnacked.
 func (rc *ReconnectClient) FlushAll() error {
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		err = c.FlushAll()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if Recoverable(err) && !IsBusy(err) {
-			return err
-		}
-		rc.drop()
-	}
-	rc.countExhausted()
-	return fmt.Errorf("kvproto: flush_all failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return rc.retry("flush_all", (*Client).FlushAll)
 }
 
-// Stats fetches the server's STAT map, retried like Get (read-only).
-func (rc *ReconnectClient) Stats() (map[string]string, error) {
-	var lastErr error
-	for a := 0; a < rc.cfg.MaxAttempts; a++ {
-		if a > 0 {
-			rc.countRetry()
-			rc.backoff(a - 1)
-		}
-		c, err := rc.client()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		st, err := c.Stats()
-		if err == nil {
-			return st, nil
-		}
-		lastErr = err
-		if Recoverable(err) && !IsBusy(err) {
-			return nil, err
-		}
-		rc.drop()
+// Stats fetches the server's STAT map under retry (read-only).
+func (rc *ReconnectClient) Stats() (st map[string]string, err error) {
+	err = rc.retry("stats", func(c *Client) (err error) {
+		st, err = c.Stats()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rc.countExhausted()
-	return nil, fmt.Errorf("kvproto: stats failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return st, nil
 }
 
 // Close shuts the live connection down, if any.

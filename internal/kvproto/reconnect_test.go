@@ -3,6 +3,7 @@ package kvproto
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,17 +11,24 @@ import (
 	"repro/internal/metrics"
 )
 
-// flakyServer answers gets with END but kills every Nth connection after
-// its first request, exercising the redial path. It serves until the
-// listener closes.
-func flakyServer(t *testing.T, killEvery int) (addr string, accepted *atomic.Int64) {
+// flakyServer answers every request ReconnectClient issues with a
+// well-formed reply (END for get/gets/stats, NOOP, OK, STORED, DELETED)
+// but kills every Nth connection after its first request, exercising the
+// redial path. requests counts every request the server parsed. It
+// serves until the listener closes.
+func flakyServer(t *testing.T, killEvery int) (addr string, accepted, requests *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	accepted = new(atomic.Int64)
+	accepted, requests = new(atomic.Int64), new(atomic.Int64)
+	replies := map[Op]string{
+		OpGet: "END\r\n", OpGets: "END\r\n", OpStats: "END\r\n",
+		OpNoop: "NOOP\r\n", OpFlushAll: "OK\r\n",
+		OpSet: "STORED\r\n", OpCas: "STORED\r\n", OpDelete: "DELETED\r\n",
+	}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -37,71 +45,128 @@ func flakyServer(t *testing.T, killEvery int) (addr string, accepted *atomic.Int
 					if err := rd.Next(&req); err != nil {
 						return
 					}
+					requests.Add(1)
 					if kill && i == 0 {
 						return // drop without replying: ambiguous for the client
 					}
-					switch req.Op {
-					case OpGet:
-						conn.Write([]byte("END\r\n"))
-					case OpSet:
-						conn.Write([]byte("STORED\r\n"))
-					case OpQuit:
+					reply, ok := replies[req.Op]
+					if !ok {
 						return
 					}
+					conn.Write([]byte(reply))
 				}
 			}(conn, killEvery > 0 && int(n)%killEvery == 1)
 		}
 	}()
-	return ln.Addr().String(), accepted
+	return ln.Addr().String(), accepted, requests
 }
 
-// TestReconnectGetRetries: the first connection dies mid-get; the client
-// must redial and complete the get transparently.
+// TestReconnectGetRetries: the first connection dies mid-operation; the
+// client must redial and complete every idempotent operation
+// transparently.
 func TestReconnectGetRetries(t *testing.T) {
-	addr, accepted := flakyServer(t, 2) // kills connections 1, 3, 5...
-	rc := NewReconnect(addr, ReconnectConfig{
-		ReadTimeout: 2 * time.Second,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Seed:        9,
-	})
-	defer rc.Close()
+	ops := []struct {
+		name string
+		do   func(rc *ReconnectClient) error
+	}{
+		{"get", func(rc *ReconnectClient) error {
+			_, ok, err := rc.Get([]byte("k"))
+			if err == nil && ok {
+				return errors.New("hit on an empty server")
+			}
+			return err
+		}},
+		{"gets", func(rc *ReconnectClient) error {
+			_, _, _, ok, err := rc.Gets([]byte("k"))
+			if err == nil && ok {
+				return errors.New("hit on an empty server")
+			}
+			return err
+		}},
+		{"multiget", func(rc *ReconnectClient) error {
+			return rc.MultiGet([][]byte{[]byte("a"), []byte("b")}, func(int, uint32, []byte) {})
+		}},
+		{"noop", (*ReconnectClient).Noop},
+		{"flush_all", (*ReconnectClient).FlushAll},
+		{"stats", func(rc *ReconnectClient) error {
+			_, err := rc.Stats()
+			return err
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			addr, accepted, _ := flakyServer(t, 2) // kills connections 1, 3, 5...
+			rc := NewReconnect(addr, ReconnectConfig{
+				ReadTimeout: 2 * time.Second,
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  10 * time.Millisecond,
+				Seed:        9,
+			})
+			defer rc.Close()
 
-	if _, ok, err := rc.Get([]byte("k")); err != nil || ok {
-		t.Fatalf("Get through flaky server: ok=%v err=%v", ok, err)
-	}
-	if rc.Retries == 0 || rc.Redials < 2 {
-		t.Fatalf("no retry happened: retries=%d redials=%d", rc.Retries, rc.Redials)
-	}
-	if accepted.Load() < 2 {
-		t.Fatalf("server saw %d connections", accepted.Load())
+			if err := op.do(rc); err != nil {
+				t.Fatalf("%s through flaky server: %v", op.name, err)
+			}
+			if rc.Retries == 0 || rc.Redials < 2 {
+				t.Fatalf("no retry happened: retries=%d redials=%d", rc.Retries, rc.Redials)
+			}
+			if accepted.Load() < 2 {
+				t.Fatalf("server saw %d connections", accepted.Load())
+			}
+		})
 	}
 }
 
 // TestReconnectSetAmbiguityNotReplayed: when the connection dies after a
-// set was flushed, the client must surface ErrUnacked instead of
-// replaying, and the next operation must transparently use a fresh
-// connection.
+// set, cas or delete was flushed, the client must surface ErrUnacked
+// instead of replaying — the server sees the request exactly once — and
+// the next operation must transparently use a fresh connection.
 func TestReconnectSetAmbiguityNotReplayed(t *testing.T) {
-	addr, accepted := flakyServer(t, 2)
-	rc := NewReconnect(addr, ReconnectConfig{
-		ReadTimeout: 2 * time.Second,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Seed:        10,
-	})
-	defer rc.Close()
+	ops := []struct {
+		name string
+		do   func(rc *ReconnectClient) error
+	}{
+		{"set", func(rc *ReconnectClient) error {
+			return rc.Set([]byte("k"), 0, 0, []byte("v"))
+		}},
+		{"cas", func(rc *ReconnectClient) error {
+			_, err := rc.Cas([]byte("k"), 0, 0, 7, []byte("v"))
+			return err
+		}},
+		{"delete", func(rc *ReconnectClient) error {
+			_, err := rc.Delete([]byte("k"))
+			return err
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			addr, accepted, requests := flakyServer(t, 2)
+			rc := NewReconnect(addr, ReconnectConfig{
+				ReadTimeout: 2 * time.Second,
+				BaseBackoff: time.Millisecond,
+				MaxBackoff:  10 * time.Millisecond,
+				Seed:        10,
+			})
+			defer rc.Close()
 
-	err := rc.Set([]byte("k"), 0, 0, []byte("v"))
-	if !errors.Is(err, ErrUnacked) {
-		t.Fatalf("want ErrUnacked, got %v", err)
-	}
-	before := accepted.Load()
-	if err := rc.Set([]byte("k"), 0, 0, []byte("v")); err != nil {
-		t.Fatalf("set after reconnect: %v", err)
-	}
-	if accepted.Load() <= before {
-		t.Fatal("second set did not use a fresh connection")
+			err := op.do(rc)
+			if !errors.Is(err, ErrUnacked) {
+				t.Fatalf("want ErrUnacked, got %v", err)
+			}
+			if want := "(" + op.name + ")"; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name the operation %s", err, want)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Fatalf("server saw %d requests, want exactly 1 (ambiguous write replayed)", n)
+			}
+			before := accepted.Load()
+			if err := op.do(rc); err != nil {
+				t.Fatalf("%s after reconnect: %v", op.name, err)
+			}
+			if accepted.Load() <= before {
+				t.Fatalf("second %s did not use a fresh connection", op.name)
+			}
+		})
 	}
 }
 
@@ -236,7 +301,7 @@ func TestReconnectCountersWired(t *testing.T) {
 		Unacked: &unacked, Exhausted: &exhausted,
 	}
 
-	addr, _ := flakyServer(t, 2)
+	addr, _, _ := flakyServer(t, 2)
 	rc := NewReconnect(addr, ReconnectConfig{
 		ReadTimeout: 2 * time.Second,
 		BaseBackoff: time.Millisecond,
