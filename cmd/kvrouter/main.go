@@ -14,17 +14,17 @@
 //
 // Failure semantics (see internal/kvcluster): an ejected owner's
 // keyspace answers "SERVER_ERROR node down" immediately instead of
-// queueing behind a dead peer; a multi-key get that lost an owner
+// queueing behind a dead peer; a multi-key get or gets that lost an owner
 // delivers the surviving VALUE blocks in request order and terminates
 // with SERVER_ERROR instead of END; an ambiguous write surfaces as
 // "SERVER_ERROR unacked" and is never replayed. With -replicas 2 each
 // key has two ring owners: writes ack on the first live owner and
 // best-effort copy to the rest, reads fail over to the next live owner,
 // and a recovered node is flushed before reintegration so it can serve
-// misses but never stale values. The serving envelope is
-// kvserver's hardened Core: accept retry with backoff, -max-conns
-// shedding, per-connection panic isolation, graceful drain on
-// SIGINT/SIGTERM.
+// misses but never stale values. The router is kvserver's request loop
+// over the cluster: accept retry with backoff, -max-conns shedding,
+// per-connection panic isolation, graceful drain on SIGINT/SIGTERM,
+// get-run batching, and kvrouter_* per-op metrics on -http.
 package main
 
 import (

@@ -632,15 +632,17 @@ func (cl *Cluster) Delete(key []byte) (found bool, err error) {
 type valRef struct {
 	hit   bool
 	flags uint32
+	casid uint64 // gets only: the answering node's cas unique
 	node  int
 	off   int
 	n     int
 }
 
-// scatter is the reusable state of one multi-key get: per-node index
-// groups and key slices (disjoint, so node goroutines never share an
-// element), per-node value scratch, and the per-key outcome table.
+// scatter is the reusable state of one multi-key get or gets: per-node
+// index groups and key slices (disjoint, so node goroutines never share
+// an element), per-node value scratch, and the per-key outcome table.
 type scatter struct {
+	cas    bool // run gets: each hit carries its cas unique
 	groups [][]int
 	keys   [][][]byte
 	bufs   [][]byte
@@ -648,7 +650,8 @@ type scatter struct {
 	refs   []valRef
 }
 
-func (sc *scatter) reset(nodes, nkeys int) {
+func (sc *scatter) reset(nodes, nkeys int, cas bool) {
+	sc.cas = cas
 	for len(sc.groups) < nodes {
 		sc.groups = append(sc.groups, nil)
 		sc.keys = append(sc.keys, nil)
@@ -685,27 +688,37 @@ func (sc *scatter) reset(nodes, nkeys int) {
 // knows the answer is partial and can degrade explicitly, the way
 // cmd/kvrouter terminates the reply with SERVER_ERROR instead of END.
 func (cl *Cluster) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []byte)) error {
+	return cl.gather(keys, false, func(i int, flags uint32, _ uint64, val []byte) { fn(i, flags, val) }, nil)
+}
+
+// gather is MultiGet for get or, with cas set, gets: each hit then also
+// carries the answering node's cas unique. Uniques are node-local (see
+// Gets), so a gets scatter runs on the same owners a get would. failed,
+// when non-nil, receives each key that got no answer together with its
+// error, after every hit has been delivered.
+func (cl *Cluster) gather(keys [][]byte, cas bool, fn func(i int, flags uint32, casid uint64, val []byte), failed func(i int, err error)) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	cl.m.routed[ixGet].Add(uint64(len(keys)))
+	ix, op := ixGet, "multiget"
+	if cas {
+		ix, op = ixGets, "multigets"
+	}
+	cl.m.routed[ix].Add(uint64(len(keys)))
 	sc := cl.scatters.Get().(*scatter)
 	defer cl.scatters.Put(sc)
-	sc.reset(len(cl.pools), len(keys))
+	sc.reset(len(cl.pools), len(keys), cas)
 
 	var ownBuf [8]int
 	touched, failover := 0, 0
 	for i, k := range keys {
 		owners := cl.ownersFor(ownBuf[:0], k)
-		n := owners[0]
-		for _, o := range owners {
-			if !cl.pools[o].ejected.Load() {
-				n = o
-				break
-			}
-		}
 		// All owners ejected: keep the primary so the group fails fast
 		// with the single-owner error shape.
+		n := owners[0]
+		if o := cl.syncOwner(owners); o >= 0 {
+			n = o
+		}
 		if n != owners[0] {
 			failover++
 		}
@@ -730,7 +743,7 @@ func (cl *Cluster) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []by
 	if cl.cfg.Replicas > 1 && cl.scatterFailed(sc) {
 		sc2 = cl.scatters.Get().(*scatter)
 		defer cl.scatters.Put(sc2)
-		sc2.reset(len(cl.pools), len(keys))
+		sc2.reset(len(cl.pools), len(keys), cas)
 		retryNode = make([]int, len(keys))
 		for i := range retryNode {
 			retryNode[i] = -1
@@ -768,14 +781,14 @@ func (cl *Cluster) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []by
 	// the two passes.
 	for i := range sc.refs {
 		if r := &sc.refs[i]; r.hit && sc.errs[r.node] == nil {
-			fn(i, r.flags, sc.bufs[r.node][r.off:r.off+r.n])
+			fn(i, r.flags, r.casid, sc.bufs[r.node][r.off:r.off+r.n])
 			continue
 		}
 		if sc2 == nil {
 			continue
 		}
 		if r := &sc2.refs[i]; r.hit && sc2.errs[r.node] == nil {
-			fn(i, r.flags, sc2.bufs[r.node][r.off:r.off+r.n])
+			fn(i, r.flags, r.casid, sc2.bufs[r.node][r.off:r.off+r.n])
 		}
 	}
 
@@ -783,27 +796,32 @@ func (cl *Cluster) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []by
 	// reached a live replica cleanly.
 	failedKeys := 0
 	var firstErr error
-	var firstAddr string
 	for n := range cl.pools {
 		if sc.errs[n] == nil {
 			continue
 		}
+		var err error // node n's error, wrapped once
 		for _, gi := range sc.groups[n] {
 			if retryNode != nil {
 				if rn := retryNode[gi]; rn >= 0 && sc2.errs[rn] == nil {
 					continue
 				}
 			}
+			if err == nil {
+				err = fmt.Errorf("kvcluster: %s via %s: %w", op, cl.pools[n].addr, sc.errs[n])
+			}
 			failedKeys++
 			if firstErr == nil {
-				firstErr = sc.errs[n]
-				firstAddr = cl.pools[n].addr
+				firstErr = err
+			}
+			if failed != nil {
+				failed(gi, err)
 			}
 		}
 	}
 	if failedKeys > 0 {
-		cl.m.failed[ixGet].Add(uint64(failedKeys))
-		return fmt.Errorf("kvcluster: multiget via %s: %w", firstAddr, firstErr)
+		cl.m.failed[ix].Add(uint64(failedKeys))
+		return firstErr
 	}
 	return nil
 }
@@ -818,34 +836,27 @@ func (cl *Cluster) scatterFailed(sc *scatter) bool {
 	return false
 }
 
-// runScatter executes every populated group of sc, serially when only
-// one node is touched (no goroutine churn for single-node bursts),
-// concurrently otherwise.
+// runScatter executes every populated group of sc: each leg but the
+// last on a goroutine of its own, the last on the calling goroutine, so
+// a one-node burst spawns nothing.
 func (cl *Cluster) runScatter(sc *scatter) {
-	touched := 0
-	for n := range sc.groups {
-		if len(sc.groups[n]) > 0 {
-			touched++
-		}
-	}
-	if touched == 1 {
-		for n := range sc.groups {
-			if len(sc.groups[n]) > 0 {
-				cl.subGet(sc, n)
-			}
-		}
-		return
-	}
 	var wg sync.WaitGroup
+	last := -1
 	for n := range sc.groups {
 		if len(sc.groups[n]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			cl.subGet(sc, n)
-		}(n)
+		if last >= 0 {
+			wg.Add(1)
+			go func(n int) {
+				defer wg.Done()
+				cl.subGet(sc, n)
+			}(last)
+		}
+		last = n
+	}
+	if last >= 0 {
+		cl.subGet(sc, last)
 	}
 	wg.Wait()
 }
@@ -901,15 +912,18 @@ func (cl *Cluster) Replicas() int { return cl.cfg.Replicas }
 // never race.
 func (cl *Cluster) subGet(sc *scatter, n int) {
 	group := sc.groups[n]
+	// A backend retry replays the whole chunk; appending again and
+	// re-pointing the ref keeps the last run's bytes, which is the
+	// idempotent-callback contract MultiGet documents.
+	fill := func(j int, flags uint32, casid uint64, val []byte) {
+		off := len(sc.bufs[n])
+		sc.bufs[n] = append(sc.bufs[n], val...)
+		sc.refs[group[j]] = valRef{hit: true, flags: flags, casid: casid, node: n, off: off, n: len(val)}
+	}
 	sc.errs[n] = cl.call(cl.pools[n], func(c *kvproto.ReconnectClient) error {
-		return c.MultiGet(sc.keys[n], func(j int, flags uint32, val []byte) {
-			// A backend retry replays the whole chunk; appending again and
-			// re-pointing the ref keeps the last run's bytes, which is the
-			// idempotent-callback contract MultiGet documents.
-			gi := group[j]
-			off := len(sc.bufs[n])
-			sc.bufs[n] = append(sc.bufs[n], val...)
-			sc.refs[gi] = valRef{hit: true, flags: flags, node: n, off: off, n: len(val)}
-		})
+		if sc.cas {
+			return c.MultiGets(sc.keys[n], fill)
+		}
+		return c.MultiGet(sc.keys[n], func(j int, flags uint32, val []byte) { fill(j, flags, 0, val) })
 	})
 }

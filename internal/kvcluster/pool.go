@@ -1,7 +1,6 @@
 package kvcluster
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/kvproto"
@@ -12,7 +11,15 @@ import (
 // currently ejected: the cluster fails the key fast instead of queueing
 // behind a dead peer, so the rest of the ring keeps serving at full
 // speed while the prober works the node back in.
-var ErrNodeDown = errors.New("kvcluster: node ejected")
+var ErrNodeDown error = nodeDownError{}
+
+type nodeDownError struct{}
+
+func (nodeDownError) Error() string { return "kvcluster: node ejected" }
+
+// NodeDown tells kvserver's request loop to answer the error
+// "SERVER_ERROR node down".
+func (nodeDownError) NodeDown() bool { return true }
 
 // DefaultFailThreshold is how many consecutive failures (operation or
 // probe) eject a node. Three tolerates an isolated timeout or RST

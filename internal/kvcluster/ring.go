@@ -1,11 +1,11 @@
 // Package kvcluster is the client-side routing tier over a fleet of
 // adaptcached nodes: a seeded consistent-hash ring with virtual nodes,
 // per-node pipelined connection pools built on kvproto.ReconnectClient,
-// scatter-gather multi-key gets reassembled in request order, and health
-// probing that ejects failing nodes (their keyspace fails fast) and
-// reintegrates them with capped backoff. cmd/kvrouter wraps a Cluster in
-// the kvserver.Core serving envelope to expose the whole fleet behind
-// one ordinary kvproto endpoint.
+// scatter-gather multi-key get and gets reassembled in request order,
+// and health probing that ejects failing nodes (their keyspace fails
+// fast) and reintegrates them with capped backoff. The Router runs
+// kvserver's request loop over a Cluster to expose the whole fleet
+// behind one ordinary kvproto endpoint (cmd/kvrouter).
 //
 // The cluster deliberately routes each key to exactly one owner: the
 // paper's adaptation argument is per-cache-set workload specialization,

@@ -2,15 +2,14 @@ package kvcluster
 
 import (
 	"bufio"
-	"errors"
 	"net"
 	"net/http"
-	"sync/atomic"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/kvproto"
 	"repro/internal/kvserver"
-	"repro/internal/metrics"
 )
 
 // RouterConfig assembles a Router around a Cluster.
@@ -24,347 +23,131 @@ type RouterConfig struct {
 
 // Router serves the kvproto text protocol in front of a Cluster: clients
 // speak to it exactly as they would to one adaptcached node, and the
-// router owns the fanout. It reuses kvserver.Core for the serving
-// envelope — accept retry, MaxConns shedding, panic isolation,
-// drain/force shutdown — so the proxy tier survives the same abuse the
-// cache tier does.
+// router owns the fanout. It is kvserver's request loop over the Cluster
+// as its Backend, so the proxy tier runs the cache tier's serving
+// envelope (accept retry, MaxConns shedding, panic isolation,
+// drain/force shutdown), get-run batching, reply-flush policy and
+// per-op instruments, registered as kvrouter_... families in the
+// cluster's registry.
 //
 // Failure semantics are explicit rather than silent: an operation whose
-// owner node is down answers "SERVER_ERROR node down"; a multi-key get
-// that lost an owner delivers the surviving VALUE blocks in request
+// owner node is down answers "SERVER_ERROR node down"; a get or gets
+// that lost an owner delivers every surviving VALUE block in request
 // order and then terminates with SERVER_ERROR instead of END (the
 // stream stays parseable — clients classify it as a failed, retryable
 // request, never as a short miss); an ambiguous write is forwarded as
 // "SERVER_ERROR unacked" and never replayed.
 type Router struct {
-	cfg  RouterConfig
-	cl   *Cluster
-	core *kvserver.Core
-	m    *routerMetrics
-
-	startNanos atomic.Int64
-}
-
-// routerMetrics holds the router's own instruments, registered alongside
-// the cluster's in the same registry so one scrape shows both tiers.
-type routerMetrics struct {
-	bytesIn      *metrics.Counter
-	bytesOut     *metrics.Counter
-	clientErrors *metrics.Counter
-	unackedFwd   *metrics.Counter
-	reqLat       *metrics.Histogram
-
-	connsOpened       *metrics.Counter
-	connsClosed       *metrics.Counter
-	connsActive       *metrics.Gauge
-	connsRejected     *metrics.Counter
-	shedWriteFailures *metrics.Counter
-	panicsRecovered   *metrics.Counter
-	acceptRetries     *metrics.Counter
-}
-
-func newRouterMetrics(reg *metrics.Registry) *routerMetrics {
-	m := &routerMetrics{}
-	m.bytesIn = reg.Counter("kvrouter_bytes_in_total", "", "bytes read from clients")
-	m.bytesOut = reg.Counter("kvrouter_bytes_out_total", "", "bytes written to clients")
-	m.clientErrors = reg.Counter("kvrouter_client_errors_total", "", "recoverable protocol violations reported to clients")
-	m.unackedFwd = reg.Counter("kvrouter_unacked_replies_total", "", "ambiguous writes surfaced to clients as SERVER_ERROR unacked")
-	m.reqLat = reg.Histogram("kvrouter_request_seconds", "", "request service time, parse to serialized reply")
-	m.connsOpened = reg.Counter("kvrouter_conns_opened_total", "", "client connections accepted into service")
-	m.connsClosed = reg.Counter("kvrouter_conns_closed_total", "", "client connection handlers exited")
-	m.connsActive = reg.Gauge("kvrouter_conns_active", "", "client connections currently being served")
-	m.connsRejected = reg.Counter("kvrouter_conns_rejected_total", "", "client connections shed with SERVER_ERROR busy")
-	m.shedWriteFailures = reg.Counter("kvrouter_shed_write_failures_total", "", "shed replies that failed to reach the client")
-	m.panicsRecovered = reg.Counter("kvrouter_panics_recovered_total", "", "handler panics isolated to their connection")
-	m.acceptRetries = reg.Counter("kvrouter_accept_retries_total", "", "transient accept errors retried")
-	return m
+	srv *kvserver.Server
 }
 
 // NewRouter builds a Router over cl, registering its instruments in the
 // cluster's registry.
 func NewRouter(cl *Cluster, cfg RouterConfig) *Router {
-	r := &Router{cfg: cfg, cl: cl, m: newRouterMetrics(cl.Registry())}
-	r.core = kvserver.NewCore(
-		kvserver.CoreConfig{MaxConns: cfg.MaxConns, Logf: cfg.Logf},
-		kvserver.CoreMetrics{
-			ConnsOpened:       r.m.connsOpened,
-			ConnsClosed:       r.m.connsClosed,
-			ConnsActive:       r.m.connsActive,
-			ConnsRejected:     r.m.connsRejected,
-			ShedWriteFailures: r.m.shedWriteFailures,
-			PanicsRecovered:   r.m.panicsRecovered,
-			AcceptRetries:     r.m.acceptRetries,
-		},
-		r.handle,
-	)
-	return r
+	b := &clusterBackend{Cluster: cl}
+	b.keyBufs.New = func() any { return new([][]byte) }
+	b.srv = kvserver.NewWithBackend(kvserver.Config{
+		ReadTimeout:  cfg.ReadTimeout,
+		WriteTimeout: cfg.WriteTimeout,
+		MaxConns:     cfg.MaxConns,
+		Logf:         cfg.Logf,
+	}, b, cl.Registry(), "kvrouter")
+	return &Router{srv: b.srv}
 }
 
 // Serve accepts and serves client connections until ln closes.
-func (r *Router) Serve(ln net.Listener) {
-	r.startNanos.CompareAndSwap(0, time.Now().UnixNano())
-	r.core.Serve(ln)
-}
+func (r *Router) Serve(ln net.Listener) { r.srv.Serve(ln) }
 
 // Shutdown drains like kvserver: stop accepting, grace period, force
 // close. The Cluster is left running — the owner closes it after.
-func (r *Router) Shutdown(ln net.Listener, grace time.Duration) { r.core.Shutdown(ln, grace) }
+func (r *Router) Shutdown(ln net.Listener, grace time.Duration) { r.srv.Shutdown(ln, grace) }
 
 // Wait blocks until every client connection handler has exited.
-func (r *Router) Wait() { r.core.Wait() }
+func (r *Router) Wait() { r.srv.Wait() }
 
 // Draining reports whether Shutdown has begun.
-func (r *Router) Draining() bool { return r.core.Draining() }
+func (r *Router) Draining() bool { return r.srv.Draining() }
 
 // Healthz serves 200 while accepting, 503 while draining.
-func (r *Router) Healthz(w http.ResponseWriter, _ *http.Request) {
-	if r.core.Draining() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
+func (r *Router) Healthz(w http.ResponseWriter, req *http.Request) { r.srv.Healthz(w, req) }
 
 // MetricsHandler serves the shared router+cluster registry as Prometheus
 // text exposition.
-func (r *Router) MetricsHandler() http.Handler { return r.cl.Registry().Handler() }
+func (r *Router) MetricsHandler() http.Handler { return r.srv.MetricsHandler() }
 
 // UnackedReplies returns how many ambiguous writes the router has
 // surfaced to clients as "SERVER_ERROR unacked" — the value behind
 // kvrouter_unacked_replies_total, for gates that reconcile the tally
 // against client-side observations.
-func (r *Router) UnackedReplies() uint64 { return r.m.unackedFwd.Load() }
+func (r *Router) UnackedReplies() uint64 { return r.srv.Counters().UnackedReplies }
 
-func (r *Router) uptime() time.Duration {
-	s := r.startNanos.Load()
-	if s == 0 {
-		return 0
+// clusterBackend serves kvserver's request loop from the Cluster. Set,
+// Cas, Delete and FlushAll are the Cluster's own.
+type clusterBackend struct {
+	*Cluster
+	srv     *kvserver.Server // the loop over this backend, for stats
+	keyBufs sync.Pool        // *[][]byte: a run's keys as bytes
+}
+
+// GetBatch answers a get or gets run with one scatter over the keys'
+// owners. Hit values are copied into one arena per run, since the
+// scatter's buffers are reused once it returns.
+func (b *clusterBackend) GetBatch(keys []string, vals []kvserver.Value, casids []uint64, oks []bool, errs []error) error {
+	kp := b.keyBufs.Get().(*[][]byte)
+	defer b.keyBufs.Put(kp)
+	for len(*kp) < len(keys) {
+		*kp = append(*kp, nil)
 	}
-	return time.Duration(time.Now().UnixNano() - s)
-}
-
-// routerIO wraps the client connection: write deadline armed before
-// every network write (including bufio auto-flushes mid-large-reply —
-// the same slow-loris wedge kvserver's connIO fixes), bytes metered in
-// both directions.
-type routerIO struct {
-	conn net.Conn
-	r    *Router
-}
-
-func (c *routerIO) Read(p []byte) (int, error) {
-	n, err := c.conn.Read(p)
-	c.r.m.bytesIn.Add(uint64(n))
-	return n, err
-}
-
-func (c *routerIO) Write(p []byte) (int, error) {
-	if t := c.r.cfg.WriteTimeout; t > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(t)); err != nil {
-			return 0, err
-		}
+	kb := (*kp)[:len(keys)]
+	for i, k := range keys {
+		kb[i] = append(kb[i][:0], k...)
+		oks[i], errs[i] = false, nil
 	}
-	n, err := c.conn.Write(p)
-	c.r.m.bytesOut.Add(uint64(n))
-	return n, err
+	var arena []byte
+	return b.gather(kb, casids != nil, func(i int, flags uint32, casid uint64, val []byte) {
+		off := len(arena)
+		arena = append(arena, val...)
+		vals[i] = kvserver.Value{Flags: flags, Data: arena[off:len(arena):len(arena)]}
+		oks[i] = true
+		if casids != nil {
+			casids[i] = casid
+		}
+	}, func(i int, err error) { errs[i] = err })
 }
 
-// Deterministic failure lines: byte-exact reply tests depend on the
-// router degrading the same way every time.
-const (
-	msgNodeDown = "node down"
-	msgUnacked  = "unacked"
-	msgBackend  = "backend failure"
-)
-
-// failureMsg maps a cluster error onto the reply line's message.
-func (r *Router) failureMsg(err error) string {
-	switch {
-	case errors.Is(err, ErrNodeDown):
-		return msgNodeDown
-	case errors.Is(err, kvproto.ErrUnacked):
-		r.m.unackedFwd.Inc()
-		return msgUnacked
-	default:
-		return msgBackend
-	}
-}
-
-// handle runs one client connection's request loop under Core's
-// isolation contract (Core.run owns recovery, close, bookkeeping).
-func (r *Router) handle(conn net.Conn) {
-	cio := &routerIO{conn: conn, r: r}
-	rd := kvproto.NewReader(cio)
-	w := bufio.NewWriterSize(cio, 4096)
-	var req kvproto.Request
-	var ce *kvproto.ClientError
-	for {
-		if r.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
-		}
-		switch err := rd.Next(&req); {
-		case err == nil:
-		case errors.As(err, &ce):
-			r.m.clientErrors.Inc()
-			kvproto.WriteClientError(w, ce.Msg)
-			if w.Flush() != nil {
-				return
-			}
-			continue
-		default:
-			return
-		}
-
-		start := time.Now()
-		switch req.Op {
-		case kvproto.OpGet:
-			// req.Keys alias the parser's buffer; they stay valid until
-			// the next rd.Next, which is after the whole scatter-gather
-			// completes. Hits arrive in exact request order, so VALUE
-			// blocks stream straight into the reply buffer; a lost owner
-			// turns the terminator into SERVER_ERROR.
-			err := r.cl.MultiGet(req.Keys, func(i int, flags uint32, val []byte) {
-				kvproto.WriteValue(w, req.Keys[i], flags, val)
-			})
-			if err != nil {
-				kvproto.WriteServerError(w, r.failureMsg(err))
-			} else {
-				kvproto.WriteEnd(w)
-			}
-		case kvproto.OpGets:
-			// gets routes per key through the single-key path: the cas
-			// unique each VALUE line carries is node-local, so every key
-			// must answer from its own current owner. A failed key turns
-			// the terminator into SERVER_ERROR, exactly like a lost owner
-			// mid-multiget.
-			var gerr error
-			for _, k := range req.Keys {
-				val, flags, casid, ok, err := r.cl.Gets(k)
-				if err != nil {
-					gerr = err
-					break
-				}
-				if ok {
-					kvproto.WriteValueCas(w, k, flags, casid, val)
-				}
-			}
-			if gerr != nil {
-				kvproto.WriteServerError(w, r.failureMsg(gerr))
-			} else {
-				kvproto.WriteEnd(w)
-			}
-		case kvproto.OpSet:
-			switch err := r.cl.Set(req.Key, req.Flags, req.Exptime, req.Value); {
-			case err == nil:
-				kvproto.WriteStored(w)
-			default:
-				kvproto.WriteServerError(w, r.failureMsg(err))
-			}
-		case kvproto.OpCas:
-			switch st, err := r.cl.Cas(req.Key, req.Flags, req.Exptime, req.Cas, req.Value); {
-			case err != nil:
-				kvproto.WriteServerError(w, r.failureMsg(err))
-			case st == kvproto.CasStored:
-				kvproto.WriteStored(w)
-			case st == kvproto.CasExists:
-				kvproto.WriteExists(w)
-			default:
-				kvproto.WriteNotFound(w)
-			}
-		case kvproto.OpDelete:
-			switch found, err := r.cl.Delete(req.Key); {
-			case err == nil && found:
-				kvproto.WriteDeleted(w)
-			case err == nil:
-				kvproto.WriteNotFound(w)
-			default:
-				kvproto.WriteServerError(w, r.failureMsg(err))
-			}
-		case kvproto.OpFlushAll:
-			// Fleet-wide flush: every live node empties. In replicated
-			// mode ejected nodes are flushed by the reintegration barrier
-			// before they serve again; single-replica clusters report a
-			// partial flush as an error.
-			switch err := r.cl.FlushAll(); {
-			case err == nil:
-				kvproto.WriteOk(w)
-			default:
-				kvproto.WriteServerError(w, r.failureMsg(err))
-			}
-		case kvproto.OpStats:
-			r.writeStats(w)
-		case kvproto.OpNoop:
-			kvproto.WriteNoop(w)
-		case kvproto.OpQuit:
-			w.Flush()
-			return
-		default:
-			kvproto.WriteError(w)
-		}
-		r.m.reqLat.RecordNS(int64(time.Since(start)))
-
-		// Pipelined input already buffered: batch replies, flush when
-		// the burst drains (or the reply buffer fills).
-		if rd.Buffered() > 0 && w.Available() > 512 {
-			continue
-		}
-		if w.Flush() != nil {
-			return
-		}
-	}
-}
-
-// writeStats answers the stats command with the router's view of the
-// fleet: uptime, per-node health, routed/failed tallies, backend retry
-// behavior.
-func (r *Router) writeStats(w *bufio.Writer) {
-	kvproto.WriteStat(w, "uptime_seconds", uint64(r.uptime()/time.Second))
-	kvproto.WriteStat(w, "nodes", uint64(len(r.cl.pools)))
+// WriteStats answers the stats command with the router's view of the
+// fleet: per-node health, routed/failed tallies, backend retry behavior.
+func (b *clusterBackend) WriteStats(w *bufio.Writer) {
+	cl := b.Cluster
+	kvproto.WriteStat(w, "nodes", uint64(len(cl.pools)))
 	ejected := 0
-	for _, p := range r.cl.pools {
+	for _, p := range cl.pools {
 		if p.ejected.Load() {
 			ejected++
 		}
 	}
 	kvproto.WriteStat(w, "nodes_ejected", uint64(ejected))
-	for i, p := range r.cl.pools {
+	for i, p := range cl.pools {
 		up := uint64(1)
 		if p.ejected.Load() {
 			up = 0
 		}
-		kvproto.WriteStat(w, "node_"+itoa(i)+"_up", up)
+		kvproto.WriteStat(w, "node_"+strconv.Itoa(i)+"_up", up)
 	}
 	for i, name := range ixNames {
-		kvproto.WriteStat(w, "ops_routed_"+name, r.cl.m.routed[i].Load())
-		kvproto.WriteStat(w, "ops_failed_"+name, r.cl.m.failed[i].Load())
+		kvproto.WriteStat(w, "ops_routed_"+name, cl.m.routed[i].Load())
+		kvproto.WriteStat(w, "ops_failed_"+name, cl.m.failed[i].Load())
 	}
-	kvproto.WriteStat(w, "replicas", uint64(r.cl.cfg.Replicas))
-	kvproto.WriteStat(w, "failover_reads", r.cl.m.failoverReads.Load())
-	kvproto.WriteStat(w, "replica_write_failures", r.cl.m.replicaWriteFailures.Load())
-	kvproto.WriteStat(w, "replica_unacked", r.cl.m.replicaUnacked.Load())
-	kvproto.WriteStat(w, "reintegration_flushes", r.cl.m.reintegrationFlushes.Load())
-	kvproto.WriteStat(w, "backend_redials", r.cl.m.backend.Redials.Load())
-	kvproto.WriteStat(w, "backend_retries", r.cl.m.backend.Retries.Load())
-	kvproto.WriteStat(w, "backend_unacked", r.cl.m.backend.Unacked.Load())
-	kvproto.WriteStat(w, "backend_exhausted", r.cl.m.backend.Exhausted.Load())
-	kvproto.WriteStat(w, "unacked_replies", r.m.unackedFwd.Load())
-	kvproto.WriteStat(w, "client_errors", r.m.clientErrors.Load())
-	kvproto.WriteEnd(w)
-}
-
-// itoa formats small non-negative ints without strconv's interface
-// conversions on the stats path.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	kvproto.WriteStat(w, "replicas", uint64(cl.cfg.Replicas))
+	kvproto.WriteStat(w, "failover_reads", cl.m.failoverReads.Load())
+	kvproto.WriteStat(w, "replica_write_failures", cl.m.replicaWriteFailures.Load())
+	kvproto.WriteStat(w, "replica_unacked", cl.m.replicaUnacked.Load())
+	kvproto.WriteStat(w, "reintegration_flushes", cl.m.reintegrationFlushes.Load())
+	kvproto.WriteStat(w, "backend_redials", cl.m.backend.Redials.Load())
+	kvproto.WriteStat(w, "backend_retries", cl.m.backend.Retries.Load())
+	kvproto.WriteStat(w, "backend_unacked", cl.m.backend.Unacked.Load())
+	kvproto.WriteStat(w, "backend_exhausted", cl.m.backend.Exhausted.Load())
+	ct := b.srv.Counters()
+	kvproto.WriteStat(w, "unacked_replies", ct.UnackedReplies)
+	kvproto.WriteStat(w, "client_errors", ct.ClientErrors)
 }

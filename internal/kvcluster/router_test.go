@@ -141,31 +141,62 @@ func TestRouterMultiGetByteExact(t *testing.T) {
 	loadCorpus(t, routerAddr, keys, vals, flags)
 	loadCorpus(t, oracle, keys, vals, flags)
 
-	// One full-width multiget plus a pipelined pair of smaller ones.
+	// One full-width multiget plus a pipelined run of smaller ones, with
+	// gets requests interleaved so get runs and gets runs alternate.
 	var sb strings.Builder
-	sb.WriteString("get")
-	for _, k := range keys[:48] {
-		sb.WriteByte(' ')
-		sb.Write(k)
+	for _, r := range []struct {
+		cmd  string
+		keys [][]byte
+	}{
+		{"get", keys[:48]},
+		{"gets", keys[10:34]},
+		{"get", keys[48:80]},
+		{"get", keys[81:82]},
+		{"gets", keys[60:96]},
+		{"gets", keys[2:3]},
+		{"get", keys[82:90]},
+	} {
+		sb.WriteString(r.cmd)
+		for _, k := range r.keys {
+			sb.WriteByte(' ')
+			sb.Write(k)
+		}
+		sb.WriteString("\r\n")
 	}
-	sb.WriteString("\r\nget")
-	for _, k := range keys[48:80] {
-		sb.WriteByte(' ')
-		sb.Write(k)
-	}
-	sb.WriteString("\r\nget ")
-	sb.Write(keys[81])
-	sb.WriteString("\r\n")
 	req := sb.String()
 
-	got := rawBurst(t, routerAddr, req, 3)
-	want := rawBurst(t, oracle, req, 3)
+	got := maskCas(t, rawBurst(t, routerAddr, req, 7))
+	want := maskCas(t, rawBurst(t, oracle, req, 7))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("router reply differs from oracle:\nrouter: %q\noracle: %q", got, want)
 	}
-	if !bytes.Contains(got, []byte("VALUE ")) {
-		t.Fatal("reply contained no VALUE blocks; corpus not loaded?")
+	if !bytes.Contains(got, []byte("VALUE ")) || !bytes.Contains(got, []byte(" CAS\r\n")) {
+		t.Fatal("reply lacks get or gets VALUE blocks; corpus not loaded?")
 	}
+}
+
+// maskCas replaces the cas unique of every gets VALUE line with "CAS":
+// uniques are node-local, so a router and a single node legitimately
+// disagree on them. Each must still be nonzero (0 is never issued).
+func maskCas(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	lines := strings.Split(string(raw), "\r\n")
+	for i := 0; i < len(lines); i++ {
+		f := strings.Fields(lines[i])
+		if len(f) == 0 || f[0] != "VALUE" {
+			continue
+		}
+		i++ // the data line: test values never contain CRLF
+		if len(f) != 5 {
+			continue
+		}
+		if f[4] == "0" {
+			t.Fatalf("gets VALUE line %q carries a zero cas unique", lines[i-1])
+		}
+		f[4] = "CAS"
+		lines[i-1] = strings.Join(f, " ")
+	}
+	return []byte(strings.Join(lines, "\r\n"))
 }
 
 // getsRec is one parsed VALUE block of a gets reply.
@@ -337,6 +368,61 @@ func TestRouterEjectedNodeFailsFast(t *testing.T) {
 	}
 }
 
+// TestRouterGetRunPerRequestTerminators: one write pipelines a get, a
+// gets, a get spanning an ejected owner and a clean get. The router
+// batches the trailing gets into one run, yet every request ends on its
+// own terminator: the spanning get answers its surviving hits then
+// SERVER_ERROR node down, and its clean neighbour still answers END.
+func TestRouterGetRunPerRequestTerminators(t *testing.T) {
+	_, cl, routerAddr := routedCluster(t, 3)
+	keys, vals, flags := testCorpus(60)
+	loadCorpus(t, routerAddr, keys, vals, flags)
+	down := ejectOwner(cl, keys[1])
+
+	var alive [][]byte
+	for _, k := range keys {
+		if cl.ring.OwnerIndex(k) != down {
+			alive = append(alive, k)
+		}
+	}
+	line := func(cmd string, ks [][]byte) string {
+		var sb strings.Builder
+		sb.WriteString(cmd)
+		for _, k := range ks {
+			sb.WriteByte(' ')
+			sb.Write(k)
+		}
+		sb.WriteString("\r\n")
+		return sb.String()
+	}
+	// getReply is the reply a get of ks earns: its live hits in request
+	// order, then term.
+	getReply := func(ks [][]byte, term string) string {
+		var sb strings.Builder
+		for _, k := range ks {
+			if v, hit := vals[string(k)]; hit && cl.ring.OwnerIndex(k) != down {
+				fmt.Fprintf(&sb, "VALUE %s %d %d\r\n%s\r\n", k, flags[string(k)], len(v), v)
+			}
+		}
+		return sb.String() + term + "\r\n"
+	}
+
+	getsLine := line("gets", alive[5:15])
+	// Cas uniques are node-local; a standalone gets of the same keys (no
+	// writes in between) gives the exact bytes the pipelined one must.
+	getsReply := string(rawBurst(t, routerAddr, getsLine, 1))
+	if !strings.HasSuffix(getsReply, "END\r\n") || !strings.Contains(getsReply, "VALUE ") {
+		t.Fatalf("standalone gets = %q, want hits and END", getsReply)
+	}
+
+	req := line("get", alive[:10]) + getsLine + line("get", keys[:30]) + line("get", alive[20:30])
+	want := getReply(alive[:10], "END") + getsReply +
+		getReply(keys[:30], "SERVER_ERROR node down") + getReply(alive[20:30], "END")
+	if got := rawBurst(t, routerAddr, req, 4); string(got) != want {
+		t.Fatalf("pipelined burst:\ngot:  %q\nwant: %q", got, want)
+	}
+}
+
 // TestClusterMultiGetWideBurst: the library-level MultiGet takes bursts
 // far past the protocol's per-request cap — per-node chunking happens in
 // the backend clients — and reports every hit at its request index.
@@ -442,10 +528,10 @@ func TestRouterFlushAll(t *testing.T) {
 
 // TestRouterGetsCasEjectedOwner: gets and cas on a dead keyspace answer
 // the same deterministic fail-fast line as get and set; a gets burst
-// spanning the outage delivers the surviving VALUE blocks in request
-// order up to the dead key and then degrades explicitly with
-// SERVER_ERROR instead of END; the surviving keyspace keeps swapping;
-// reintegration restores the full burst.
+// spanning the outage degrades exactly like a get: every surviving
+// VALUE block in request order, then SERVER_ERROR instead of END; the
+// surviving keyspace keeps swapping; reintegration restores the full
+// burst.
 func TestRouterGetsCasEjectedOwner(t *testing.T) {
 	_, cl, routerAddr := routedCluster(t, 3)
 	keys, vals, flags := testCorpus(60)
@@ -459,9 +545,8 @@ func TestRouterGetsCasEjectedOwner(t *testing.T) {
 		t.Fatalf("ejected-owner cas = %q", got)
 	}
 
-	// Burst spanning the outage: the router resolves gets key by key in
-	// request order, so hits stream until the first dead-owned key, then
-	// the terminator flips to SERVER_ERROR.
+	// Burst spanning the outage: one scatter answers every surviving key,
+	// then the terminator flips to SERVER_ERROR.
 	var sb strings.Builder
 	sb.WriteString("gets")
 	for _, k := range keys {
@@ -473,21 +558,18 @@ func TestRouterGetsCasEjectedOwner(t *testing.T) {
 	if term != "SERVER_ERROR node down" {
 		t.Fatalf("spanning gets terminator = %q", term)
 	}
-	wantRecs := 0
+	var wantKeys []string
 	for _, k := range keys {
-		if cl.ring.OwnerIndex(k) == down {
-			break
-		}
-		if _, hit := vals[string(k)]; hit {
-			wantRecs++
+		if _, hit := vals[string(k)]; hit && cl.ring.OwnerIndex(k) != down {
+			wantKeys = append(wantKeys, string(k))
 		}
 	}
-	if len(recs) != wantRecs {
-		t.Fatalf("spanning gets delivered %d VALUE blocks before failing, want %d", len(recs), wantRecs)
+	if len(recs) != len(wantKeys) {
+		t.Fatalf("spanning gets delivered %d VALUE blocks before failing, want %d", len(recs), len(wantKeys))
 	}
-	for _, r := range recs {
-		if r.val != string(vals[r.key]) || r.flags != flags[r.key] || r.casid == 0 {
-			t.Fatalf("surviving VALUE block %+v disagrees with corpus", r)
+	for i, r := range recs {
+		if r.key != wantKeys[i] || r.val != string(vals[r.key]) || r.flags != flags[r.key] || r.casid == 0 {
+			t.Fatalf("surviving VALUE block %d = %+v, want corpus key %s in request order", i, r, wantKeys[i])
 		}
 	}
 

@@ -198,41 +198,76 @@ func (c *Client) Get(key []byte) (val []byte, ok bool, err error) {
 // ReadGetReply consumes one get response. The returned slice is valid
 // until the next Client call.
 func (c *Client) ReadGetReply() (val []byte, ok bool, err error) {
+	val, _, _, ok, err = c.readOne(false)
+	return val, ok, err
+}
+
+// readOne consumes a single-key get or gets reply: END, or one VALUE
+// block (with its cas unique when cas is set) then END.
+func (c *Client) readOne(cas bool) (val []byte, flags uint32, casid uint64, ok bool, err error) {
 	c.armRead()
 	line, err := c.readLine()
 	if err != nil {
-		return nil, false, err
+		return nil, 0, 0, false, err
 	}
 	if bytes.Equal(line, replyEnd[:3]) { // "END"
-		return nil, false, nil
+		return nil, 0, 0, false, nil
 	}
 	if !bytes.HasPrefix(line, valuePrefix) {
-		return nil, false, errorFromReply(line)
+		return nil, 0, 0, false, errorFromReply(line)
 	}
-	// VALUE <key> <flags> <bytes>
-	rest := line[len(valuePrefix):]
-	_, rest = nextField(rest) // key (trusted: single-request protocol)
-	_, rest = nextField(rest) // flags
-	sizeB, tail := nextField(rest)
-	size, okN := parseUint(sizeB)
-	if !okN || len(tail) != 0 || size > MaxValueBytes {
-		return nil, false, unexpected(line)
+	// The key is trusted: one request, one key.
+	_, flags, size, casid, okV := parseValueLine(line, cas)
+	if !okV {
+		return nil, 0, 0, false, unexpected(line)
 	}
-	if cap(c.val) < int(size)+2 {
+	if val, err = c.readData(size); err != nil {
+		return nil, 0, 0, false, err
+	}
+	end, err := c.readLine()
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	if !bytes.Equal(end, replyEnd[:3]) {
+		return nil, 0, 0, false, unexpected(end)
+	}
+	return val, flags, casid, true, nil
+}
+
+// parseValueLine is the one VALUE-line parser: "VALUE <key> <flags>
+// <bytes>", plus " <cas unique>" when cas is set. key aliases line.
+func parseValueLine(line []byte, cas bool) (key []byte, flags uint32, size int, casid uint64, ok bool) {
+	key, rest := nextField(line[len(valuePrefix):])
+	flagsB, rest := nextField(rest)
+	sizeB, rest := nextField(rest)
+	okC := true
+	if cas {
+		var casB []byte
+		casB, rest = nextField(rest)
+		casid, okC = parseUint(casB)
+	}
+	f, okF := parseUint(flagsB)
+	n, okN := parseUint(sizeB)
+	if !okF || !okN || !okC || len(rest) != 0 || f > 0xffffffff || n > MaxValueBytes {
+		return nil, 0, 0, 0, false
+	}
+	return key, uint32(f), int(n), casid, true
+}
+
+// readData reads one VALUE block's data and its CRLF terminator. The
+// returned slice aliases c.val, valid until the next read.
+func (c *Client) readData(size int) ([]byte, error) {
+	if cap(c.val) < size+2 {
 		c.val = make([]byte, size+2)
 	}
 	buf := c.val[:size+2]
 	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	end, err := c.readLine()
-	if err != nil {
-		return nil, false, err
+	if buf[size] != '\r' || buf[size+1] != '\n' {
+		return nil, unexpected(buf)
 	}
-	if !bytes.Equal(end, replyEnd[:3]) {
-		return nil, false, unexpected(end)
-	}
-	return buf[:size], true, nil
+	return buf[:size], nil
 }
 
 // SendGets queues a gets (get-with-cas-unique) without flushing.
@@ -246,44 +281,7 @@ func (c *Client) SendGets(key []byte) {
 // stored flags word, and the entry's cas unique. The returned slice is
 // valid until the next Client call.
 func (c *Client) ReadGetsReply() (val []byte, flags uint32, casid uint64, ok bool, err error) {
-	c.armRead()
-	line, err := c.readLine()
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	if bytes.Equal(line, replyEnd[:3]) { // "END"
-		return nil, 0, 0, false, nil
-	}
-	if !bytes.HasPrefix(line, valuePrefix) {
-		return nil, 0, 0, false, errorFromReply(line)
-	}
-	// VALUE <key> <flags> <bytes> <casid>
-	rest := line[len(valuePrefix):]
-	_, rest = nextField(rest) // key (trusted: single-request protocol)
-	flagsB, rest := nextField(rest)
-	sizeB, rest := nextField(rest)
-	casB, tail := nextField(rest)
-	flags64, okF := parseUint(flagsB)
-	size, okN := parseUint(sizeB)
-	casid, okC := parseUint(casB)
-	if !okF || !okN || !okC || flags64 > 0xffffffff || len(tail) != 0 || size > MaxValueBytes {
-		return nil, 0, 0, false, unexpected(line)
-	}
-	if cap(c.val) < int(size)+2 {
-		c.val = make([]byte, size+2)
-	}
-	buf := c.val[:size+2]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return nil, 0, 0, false, err
-	}
-	end, err := c.readLine()
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	if !bytes.Equal(end, replyEnd[:3]) {
-		return nil, 0, 0, false, unexpected(end)
-	}
-	return buf[:size], uint32(flags64), casid, true, nil
+	return c.readOne(true)
 }
 
 // Gets fetches key together with its flags and cas unique, the token a
@@ -357,8 +355,10 @@ func (c *Client) Cas(key []byte, flags uint32, exptime int64, casid uint64, val 
 
 // SendMultiGet queues one multi-key get ("get k1 k2 ...") without
 // flushing. keys must hold 1..MaxGetKeys entries.
-func (c *Client) SendMultiGet(keys [][]byte) {
-	c.bw.WriteString("get")
+func (c *Client) SendMultiGet(keys [][]byte) { c.sendMulti("get", keys) }
+
+func (c *Client) sendMulti(cmd string, keys [][]byte) {
+	c.bw.WriteString(cmd)
 	for _, k := range keys {
 		c.bw.WriteByte(' ')
 		c.bw.Write(k)
@@ -373,6 +373,16 @@ func (c *Client) SendMultiGet(keys [][]byte) {
 // request order, so replies match by scanning keys forward; a duplicate
 // key matches its earliest unconsumed index.
 func (c *Client) ReadMultiGetReply(keys [][]byte, fn func(i int, flags uint32, val []byte)) error {
+	return c.readValues(keys, 0, false, func(i int, flags uint32, _ uint64, val []byte) {
+		if fn != nil {
+			fn(i, flags, val)
+		}
+	})
+}
+
+// readValues consumes one multi-key get (or, with cas, gets) response,
+// handing each hit to fn with its index into keys plus off.
+func (c *Client) readValues(keys [][]byte, off int, cas bool, fn func(i int, flags uint32, casid uint64, val []byte)) error {
 	next := 0
 	for {
 		c.armRead()
@@ -386,17 +396,12 @@ func (c *Client) ReadMultiGetReply(keys [][]byte, fn func(i int, flags uint32, v
 		if !bytes.HasPrefix(line, valuePrefix) {
 			return errorFromReply(line)
 		}
-		// VALUE <key> <flags> <bytes>
-		rest := line[len(valuePrefix):]
-		keyB, rest := nextField(rest)
-		flagsB, rest := nextField(rest)
-		sizeB, tail := nextField(rest)
-		flags, okF := parseUint(flagsB)
-		size, okN := parseUint(sizeB)
-		if !okF || !okN || len(tail) != 0 || flags > 0xffffffff || size > MaxValueBytes {
+		key, flags, size, casid, ok := parseValueLine(line, cas)
+		if !ok {
 			return unexpected(line)
 		}
-		for next < len(keys) && !bytes.Equal(keys[next], keyB) {
+		// Match before reading the data: key aliases the read buffer.
+		for next < len(keys) && !bytes.Equal(keys[next], key) {
 			next++
 		}
 		if next == len(keys) {
@@ -404,19 +409,11 @@ func (c *Client) ReadMultiGetReply(keys [][]byte, fn func(i int, flags uint32, v
 		}
 		idx := next
 		next++
-		if cap(c.val) < int(size)+2 {
-			c.val = make([]byte, size+2)
-		}
-		buf := c.val[:size+2]
-		if _, err := io.ReadFull(c.br, buf); err != nil {
+		val, err := c.readData(size)
+		if err != nil {
 			return err
 		}
-		if buf[size] != '\r' || buf[size+1] != '\n' {
-			return unexpected(buf[:size+2])
-		}
-		if fn != nil {
-			fn(idx, uint32(flags), buf[:size])
-		}
+		fn(off+idx, flags, casid, val)
 	}
 }
 
@@ -434,7 +431,7 @@ func (c *Client) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []byte
 // line: the server's Reader parses lines through a 1024-byte buffer and
 // rejects anything longer, so chunks are split on bytes as well as key
 // count (128 keys of 250-byte maximum-length keys would be a 30x
-// overflow otherwise). 1000 leaves headroom for "get" and CRLF.
+// overflow otherwise). 1000 leaves headroom for "gets" and CRLF.
 const maxGetLineBytes = 1000
 
 // getChunkEnd returns the end of the chunk starting at base: as many
@@ -462,26 +459,32 @@ func getChunkEnd(keys [][]byte, base int) int {
 // position within the burst is unknown and the connection must be
 // discarded unless the error is Recoverable on the final chunk.
 func (c *Client) MultiGetChunked(keys [][]byte, fn func(i int, flags uint32, val []byte)) error {
+	return c.getChunked(keys, false, func(i int, flags uint32, _ uint64, val []byte) {
+		if fn != nil {
+			fn(i, flags, val)
+		}
+	})
+}
+
+// getChunked is MultiGetChunked for get or, with cas, gets: every hit
+// also carries its cas unique.
+func (c *Client) getChunked(keys [][]byte, cas bool, fn func(i int, flags uint32, casid uint64, val []byte)) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	if end := getChunkEnd(keys, 0); end == len(keys) {
-		return c.MultiGet(keys, fn)
+	cmd := "get"
+	if cas {
+		cmd = "gets"
 	}
 	for base := 0; base < len(keys); base = getChunkEnd(keys, base) {
-		c.SendMultiGet(keys[base:getChunkEnd(keys, base)])
+		c.sendMulti(cmd, keys[base:getChunkEnd(keys, base)])
 	}
 	if err := c.Flush(); err != nil {
 		return err
 	}
 	for base := 0; base < len(keys); {
 		end := getChunkEnd(keys, base)
-		off := base
-		var inner func(i int, flags uint32, val []byte)
-		if fn != nil {
-			inner = func(i int, flags uint32, val []byte) { fn(off+i, flags, val) }
-		}
-		if err := c.ReadMultiGetReply(keys[base:end], inner); err != nil {
+		if err := c.readValues(keys[base:end], base, cas, fn); err != nil {
 			return err
 		}
 		base = end

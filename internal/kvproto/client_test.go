@@ -2,8 +2,10 @@ package kvproto
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -157,5 +159,90 @@ func TestErrorReplyClassification(t *testing.T) {
 	defer c3.CloseNow()
 	if err = c3.Set([]byte("k"), 0, 0, []byte("v")); err == nil || Recoverable(err) {
 		t.Fatalf("garbage reply must be non-recoverable, got %v", err)
+	}
+}
+
+// replyConn feeds a scripted reply to a Client and discards its writes.
+type replyConn struct{ io.Reader }
+
+func (replyConn) Write(p []byte) (int, error) { return len(p), nil }
+func (replyConn) Close() error                { return nil }
+
+// TestReadValueReplies drives every VALUE reader — single-key get and
+// gets, multi-key get and gets — through one parser's accept and reject
+// cases. A rejected reply must fail without a partial hit past the bad
+// block.
+func TestReadValueReplies(t *testing.T) {
+	type hit struct {
+		i     int
+		flags uint32
+		casid uint64
+		val   string
+	}
+	ab := [][]byte{[]byte("a"), []byte("b")}
+	cases := []struct {
+		name, kind string // kind: get, gets, mget, mgets
+		keys       [][]byte
+		reply      string
+		want       []hit
+		wantErr    bool
+	}{
+		{"get hit", "get", nil, "VALUE k 5 3\r\nabc\r\nEND\r\n", []hit{{0, 0, 0, "abc"}}, false}, // ReadGetReply drops flags
+		{"get miss", "get", nil, "END\r\n", nil, false},
+		{"gets hit", "gets", nil, "VALUE k 5 3 77\r\nabc\r\nEND\r\n", []hit{{0, 5, 77, "abc"}}, false},
+		{"multi-get", "mget", ab, "VALUE a 1 1\r\nx\r\nVALUE b 2 0\r\n\r\nEND\r\n", []hit{{0, 1, 0, "x"}, {1, 2, 0, ""}}, false},
+		{"multi-get skips misses", "mget", ab, "VALUE b 2 2\r\nyz\r\nEND\r\n", []hit{{1, 2, 0, "yz"}}, false},
+		{"multi-gets", "mgets", ab, "VALUE a 1 1 9\r\nx\r\nVALUE b 2 2 10\r\nyz\r\nEND\r\n", []hit{{0, 1, 9, "x"}, {1, 2, 10, "yz"}}, false},
+		{"gets malformed cas", "gets", nil, "VALUE k 0 1 x9\r\na\r\nEND\r\n", nil, true},
+		{"gets missing cas", "gets", nil, "VALUE k 0 1\r\na\r\nEND\r\n", nil, true},
+		{"get extra field", "get", nil, "VALUE k 0 1 9\r\na\r\nEND\r\n", nil, true},
+		{"multi-gets malformed cas", "mgets", ab, "VALUE a 0 1 9\r\nx\r\nVALUE b 0 1 -1\r\ny\r\nEND\r\n", []hit{{0, 0, 9, "x"}}, true},
+		{"get short data", "get", nil, "VALUE k 0 5\r\nab", nil, true},
+		{"multi-get short data", "mget", ab, "VALUE a 0 5\r\nab", nil, true},
+		{"get bad data terminator", "get", nil, "VALUE k 0 2\r\nabcd\r\nEND\r\n", nil, true},
+		{"get missing END", "get", nil, "VALUE k 0 1\r\na\r\n", nil, true},
+		{"gets missing END", "gets", nil, "VALUE k 0 1 3\r\na\r\nVALUE", nil, true},
+		{"multi-gets missing END", "mgets", ab, "VALUE a 0 1 3\r\nx\r\n", []hit{{0, 0, 3, "x"}}, true},
+		{"multi-get unknown key", "mget", ab, "VALUE c 0 1\r\nx\r\nEND\r\n", nil, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClient(replyConn{strings.NewReader(tc.reply)})
+			var got []hit
+			var err error
+			switch tc.kind {
+			case "get":
+				var val []byte
+				var ok bool
+				if val, ok, err = c.ReadGetReply(); ok {
+					got = append(got, hit{0, 0, 0, string(val)})
+				}
+			case "gets":
+				var val []byte
+				var flags uint32
+				var casid uint64
+				var ok bool
+				if val, flags, casid, ok, err = c.ReadGetsReply(); ok {
+					got = append(got, hit{0, flags, casid, string(val)})
+				}
+			case "mget":
+				err = c.ReadMultiGetReply(tc.keys, func(i int, flags uint32, val []byte) {
+					got = append(got, hit{i, flags, 0, string(val)})
+				})
+			case "mgets":
+				err = c.readValues(tc.keys, 0, true, func(i int, flags uint32, casid uint64, val []byte) {
+					got = append(got, hit{i, flags, casid, string(val)})
+				})
+			}
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, wantErr %v", err, tc.wantErr)
+			}
+			if err != nil && Recoverable(err) {
+				t.Fatalf("malformed reply classified recoverable: %v", err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("hits = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -321,6 +321,14 @@ func (rc *ReconnectClient) MultiGet(keys [][]byte, fn func(i int, flags uint32, 
 	})
 }
 
+// MultiGets is MultiGet for gets: each hit also carries the entry's cas
+// unique, under the same retry and callback contract.
+func (rc *ReconnectClient) MultiGets(keys [][]byte, fn func(i int, flags uint32, casid uint64, val []byte)) error {
+	return rc.retry("multigets", func(c *Client) error {
+		return c.getChunked(keys, true, fn)
+	})
+}
+
 // Noop performs one empty round trip under retry. Health probers
 // typically run it with MaxAttempts 1: the prober owns the retry
 // schedule, the client just reports whether this probe got through.

@@ -1,13 +1,12 @@
 package kvserver
 
-// Core is the hardened connection-serving substrate, extracted from the
-// cache server so cmd/kvrouter's routing front end gets the identical
-// fault envelope without owning a cache: accept-loop retry with capped
-// backoff, MaxConns overload shedding with SERVER_ERROR busy at accept
-// time, per-connection panic isolation, and drain/force shutdown that
-// leaks no goroutines. The per-connection request loop is supplied by
-// the owner; everything around it — lifecycle, bookkeeping, metrics —
-// lives here, behind the same counters both servers expose.
+// core is the hardened connection-serving substrate under the request
+// loop: accept-loop retry with capped backoff, MaxConns overload
+// shedding with SERVER_ERROR busy at accept time, per-connection panic
+// isolation, and drain/force shutdown that leaks no goroutines. The
+// loop is supplied by the Server; everything around it — lifecycle,
+// bookkeeping, metrics — lives here, recorded into the Server's
+// lifecycle instruments whichever Backend it serves.
 
 import (
 	"errors"
@@ -17,53 +16,16 @@ import (
 	"time"
 
 	"repro/internal/kvproto"
-	"repro/internal/metrics"
 )
 
-// CoreConfig assembles a Core.
-type CoreConfig struct {
-	// MaxConns bounds concurrent connections; arrivals beyond it are
-	// shed with "SERVER_ERROR busy" and closed. 0 = unlimited.
-	MaxConns int
-
-	// Logf receives operational messages (recovered panics, accept
-	// retries). nil discards them.
-	Logf func(format string, args ...any)
-}
-
-// CoreMetrics wires the lifecycle instruments the Core records into.
-// Any field may be nil (that event is simply not counted); servers wire
-// them to their own registries so cache-server and router expositions
-// carry the same families.
-type CoreMetrics struct {
-	ConnsOpened       *metrics.Counter
-	ConnsClosed       *metrics.Counter
-	ConnsActive       *metrics.Gauge
-	ConnsRejected     *metrics.Counter
-	ShedWriteFailures *metrics.Counter
-	PanicsRecovered   *metrics.Counter
-	AcceptRetries     *metrics.Counter
-}
-
-func coreInc(c *metrics.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func coreAdd(g *metrics.Gauge, d int64) {
-	if g != nil {
-		g.Add(d)
-	}
-}
-
-// Core owns the connection set and the drain state; the handle callback
+// core owns the connection set and the drain state; the handle callback
 // runs one connection's request loop and may panic freely — a panic ends
 // only that connection.
-type Core struct {
-	cfg    CoreConfig
-	m      CoreMetrics
-	handle func(conn net.Conn)
+type core struct {
+	maxConns int // 0 = unlimited
+	logf     func(format string, args ...any)
+	m        *serverMetrics
+	handle   func(conn net.Conn)
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -74,25 +36,22 @@ type Core struct {
 	draining atomic.Bool
 }
 
-// NewCore builds a Core around a per-connection handler.
-func NewCore(cfg CoreConfig, m CoreMetrics, handle func(conn net.Conn)) *Core {
-	return &Core{
-		cfg:    cfg,
-		m:      m,
-		handle: handle,
-		conns:  make(map[net.Conn]struct{}),
-		stop:   make(chan struct{}),
+func newCore(maxConns int, logf func(format string, args ...any), m *serverMetrics, handle func(conn net.Conn)) *core {
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
-}
-
-func (c *Core) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
+	return &core{
+		maxConns: maxConns,
+		logf:     logf,
+		m:        m,
+		handle:   handle,
+		conns:    make(map[net.Conn]struct{}),
+		stop:     make(chan struct{}),
 	}
 }
 
 // Draining reports whether Shutdown has begun.
-func (c *Core) Draining() bool { return c.draining.Load() }
+func (c *core) Draining() bool { return c.draining.Load() }
 
 // maxAcceptBackoff caps the transient-accept retry delay; 1s matches
 // net/http's accept-loop behavior for sustained EMFILE pressure.
@@ -102,7 +61,7 @@ const maxAcceptBackoff = time.Second
 // errors (temporary net.Errors and anything else while not draining) are
 // retried with exponential backoff from 5ms to maxAcceptBackoff — a burst
 // of EMFILE or ECONNABORTED must never kill the listener.
-func (c *Core) Serve(ln net.Listener) {
+func (c *core) Serve(ln net.Listener) {
 	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
@@ -110,7 +69,7 @@ func (c *Core) Serve(ln net.Listener) {
 			if c.draining.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			coreInc(c.m.AcceptRetries)
+			c.m.acceptRetries.Inc()
 			if backoff == 0 {
 				backoff = 5 * time.Millisecond
 			} else if backoff *= 2; backoff > maxAcceptBackoff {
@@ -132,7 +91,7 @@ func (c *Core) Serve(ln net.Listener) {
 			conn.Close()
 			return
 		}
-		if c.cfg.MaxConns > 0 && len(c.conns) >= c.cfg.MaxConns {
+		if c.maxConns > 0 && len(c.conns) >= c.maxConns {
 			c.mu.Unlock()
 			c.shed(conn)
 			continue
@@ -140,8 +99,8 @@ func (c *Core) Serve(ln net.Listener) {
 		c.conns[conn] = struct{}{}
 		c.wg.Add(1)
 		c.mu.Unlock()
-		coreInc(c.m.ConnsOpened)
-		coreAdd(c.m.ConnsActive, 1)
+		c.m.connsOpened.Inc()
+		c.m.connsActive.Add(1)
 		go c.run(conn)
 	}
 }
@@ -150,18 +109,18 @@ func (c *Core) Serve(ln net.Listener) {
 // contract: a panic anywhere in the handler — a bug, a hostile request,
 // an injected fault — is recovered, counted, and closes only this
 // connection.
-func (c *Core) run(conn net.Conn) {
+func (c *core) run(conn net.Conn) {
 	defer func() {
 		if r := recover(); r != nil {
-			coreInc(c.m.PanicsRecovered)
+			c.m.panicsRecovered.Inc()
 			c.logf("kvserver: panic isolated to connection %v: %v", conn.RemoteAddr(), r)
 		}
 		conn.Close()
 		c.mu.Lock()
 		delete(c.conns, conn)
 		c.mu.Unlock()
-		coreInc(c.m.ConnsClosed)
-		coreAdd(c.m.ConnsActive, -1)
+		c.m.connsClosed.Inc()
+		c.m.connsActive.Add(-1)
 		c.wg.Done()
 	}()
 	c.handle(conn)
@@ -172,14 +131,14 @@ func (c *Core) run(conn net.Conn) {
 // SERVER_ERROR it can classify as retryable-after-backoff. A reply that
 // fails to go out is still a shed, but it leaves the client guessing —
 // count it so sustained failures are visible.
-func (c *Core) shed(conn net.Conn) {
-	coreInc(c.m.ConnsRejected)
+func (c *core) shed(conn net.Conn) {
+	c.m.connsRejected.Inc()
 	err := conn.SetWriteDeadline(time.Now().Add(time.Second))
 	if err == nil {
 		_, err = conn.Write(kvproto.BusyLine)
 	}
 	if err != nil {
-		coreInc(c.m.ShedWriteFailures)
+		c.m.shedWriteFailures.Inc()
 		c.logf("kvserver: shed reply to %v failed: %v", conn.RemoteAddr(), err)
 	}
 	conn.Close()
@@ -188,7 +147,7 @@ func (c *Core) shed(conn net.Conn) {
 // Shutdown stops accepting, flips health to draining, gives in-flight
 // requests the grace period, then force-closes whatever remains. After it
 // returns, every connection goroutine has exited.
-func (c *Core) Shutdown(ln net.Listener, grace time.Duration) {
+func (c *core) Shutdown(ln net.Listener, grace time.Duration) {
 	c.draining.Store(true)
 	c.mu.Lock()
 	if !c.done {
@@ -216,4 +175,4 @@ func (c *Core) Shutdown(ln net.Listener, grace time.Duration) {
 }
 
 // Wait blocks until every connection goroutine has exited.
-func (c *Core) Wait() { c.wg.Wait() }
+func (c *core) Wait() { c.wg.Wait() }

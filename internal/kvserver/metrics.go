@@ -23,7 +23,7 @@ const opCount = 6
 
 // opNames index the latency histograms; opIndex maps protocol ops onto
 // them (-1 for ops with no service time: quit, invalid). gets and cas
-// were appended so the original indices (execGetRun hardcodes 0) hold.
+// were appended so the original indices hold.
 var opNames = [opCount]string{"get", "set", "delete", "stats", "gets", "cas"}
 
 // Histogram indices the serving path records into directly.
@@ -79,6 +79,12 @@ type serverMetrics struct {
 	acceptRetries     *metrics.Counter
 	clientErrors      *metrics.Counter
 
+	// unacked counts backend writes that may or may not have applied,
+	// answered "SERVER_ERROR unacked" and never replayed; chaos gates
+	// reconcile it against what clients saw. Only a remote Backend
+	// produces them.
+	unacked *metrics.Counter
+
 	// setsRejected counts stores (set and cas alike) refused at admission
 	// for exceeding MaxItemSize. Rejected stores never reach the cache,
 	// record no service latency, and do not count as replying ops — they
@@ -89,29 +95,31 @@ type serverMetrics struct {
 	flushes *metrics.Counter
 }
 
-func newServerMetrics() *serverMetrics {
-	reg := metrics.NewRegistry()
+// newServerMetrics registers the loop's instruments in reg under
+// families named prefix_...: kv_ on a node, kvrouter_ on the router.
+func newServerMetrics(reg *metrics.Registry, prefix string) *serverMetrics {
 	m := &serverMetrics{reg: reg}
 	for i, name := range opNames {
-		m.opLat[i] = reg.Histogram("kv_op_latency_seconds",
+		m.opLat[i] = reg.Histogram(prefix+"_op_latency_seconds",
 			`op="`+name+`"`, "per-op service time, parse to serialized reply")
 	}
-	m.batchedOps = reg.HistogramUnitless("kv_batched_ops_per_flush", "",
+	m.batchedOps = reg.HistogramUnitless(prefix+"_batched_ops_per_flush", "",
 		"replying ops coalesced into each explicit reply flush")
-	m.bytesIn = reg.Counter("kv_bytes_in_total", "", "bytes read from clients")
-	m.bytesOut = reg.Counter("kv_bytes_out_total", "", "bytes written to clients")
-	m.netWrites = reg.Counter("kv_net_writes_total", "", "network write syscalls (deadline-armed)")
-	m.vectoredWrites = reg.Counter("kv_vectored_writes_total", "", "large replies shipped via writev without buffer copies")
-	m.connsOpened = reg.Counter("kv_conns_opened_total", "", "connections accepted into service")
-	m.connsClosed = reg.Counter("kv_conns_closed_total", "", "connection handlers exited")
-	m.connsActive = reg.Gauge("kv_conns_active", "", "connections currently being served")
-	m.connsRejected = reg.Counter("kv_conns_rejected_total", "", "connections shed with SERVER_ERROR busy")
-	m.shedWriteFailures = reg.Counter("kv_shed_write_failures_total", "", "shed replies that failed to reach the client")
-	m.panicsRecovered = reg.Counter("kv_panics_recovered_total", "", "handler panics isolated to their connection")
-	m.acceptRetries = reg.Counter("kv_accept_retries_total", "", "transient accept errors retried")
-	m.clientErrors = reg.Counter("kv_client_errors_total", "", "recoverable protocol violations reported")
-	m.setsRejected = reg.Counter("kv_sets_rejected_total", "", "stores (set/cas) refused at admission: object too large")
-	m.flushes = reg.Counter("kv_flushes_total", "", "flush_all commands applied (cache emptied)")
+	m.bytesIn = reg.Counter(prefix+"_bytes_in_total", "", "bytes read from clients")
+	m.bytesOut = reg.Counter(prefix+"_bytes_out_total", "", "bytes written to clients")
+	m.netWrites = reg.Counter(prefix+"_net_writes_total", "", "network write syscalls (deadline-armed)")
+	m.vectoredWrites = reg.Counter(prefix+"_vectored_writes_total", "", "large replies shipped via writev without buffer copies")
+	m.connsOpened = reg.Counter(prefix+"_conns_opened_total", "", "connections accepted into service")
+	m.connsClosed = reg.Counter(prefix+"_conns_closed_total", "", "connection handlers exited")
+	m.connsActive = reg.Gauge(prefix+"_conns_active", "", "connections currently being served")
+	m.connsRejected = reg.Counter(prefix+"_conns_rejected_total", "", "connections shed with SERVER_ERROR busy")
+	m.shedWriteFailures = reg.Counter(prefix+"_shed_write_failures_total", "", "shed replies that failed to reach the client")
+	m.panicsRecovered = reg.Counter(prefix+"_panics_recovered_total", "", "handler panics isolated to their connection")
+	m.acceptRetries = reg.Counter(prefix+"_accept_retries_total", "", "transient accept errors retried")
+	m.clientErrors = reg.Counter(prefix+"_client_errors_total", "", "recoverable protocol violations reported")
+	m.unacked = reg.Counter(prefix+"_unacked_replies_total", "", "ambiguous backend writes answered SERVER_ERROR unacked (never replayed)")
+	m.setsRejected = reg.Counter(prefix+"_sets_rejected_total", "", "stores (set/cas) refused at admission: object too large")
+	m.flushes = reg.Counter(prefix+"_flushes_total", "", "flush_all commands applied (cache emptied)")
 	return m
 }
 

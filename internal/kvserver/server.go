@@ -30,6 +30,11 @@
 // and header+payload+terminator go out as one vectored write
 // (net.Buffers → writev on TCP).
 //
+// The loop serves from a Backend: the node's own cache (New), or any
+// other store behind the same interface — kvcluster's Router is this
+// loop over a Cluster (NewWithBackend). Both tiers therefore share one
+// request loop, one instrument set and one degrade shape.
+//
 // Robustness counters (conns_rejected, panics_recovered, accept_retries,
 // client_errors) are exposed via Counters, the stats command, and
 // ExpvarMap; a zero-allocation-on-record metrics registry (per-op latency
@@ -41,15 +46,14 @@ package kvserver
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/adaptivekv"
 	"repro/internal/kvproto"
+	"repro/internal/metrics"
 )
 
 // Value is one stored object: the client's opaque flags word plus bytes.
@@ -94,16 +98,18 @@ type Counters struct {
 	AcceptRetries     uint64 // transient accept errors retried
 	ClientErrors      uint64 // recoverable protocol violations reported
 	ShedWriteFailures uint64 // shed replies that never reached the client
+	UnackedReplies    uint64 // ambiguous backend writes answered SERVER_ERROR unacked
 }
 
-// Server owns the cache and delegates connection lifecycle (accept
-// retry, shedding, panic isolation, drain) to a Core — the same
-// substrate cmd/kvrouter's front end runs on.
+// Server runs the request loop over a Backend and delegates connection
+// lifecycle (accept retry, shedding, panic isolation, drain) to its
+// core.
 type Server struct {
-	cfg   Config
-	cache *adaptivekv.Cache[string, Value]
+	cfg     Config
+	backend Backend
+	cache   *adaptivekv.Cache[string, Value] // nil when serving another Backend
 
-	core *Core
+	core *core
 
 	m           *serverMetrics
 	shardLabels []string
@@ -113,28 +119,28 @@ type Server struct {
 	startNanos atomic.Int64
 }
 
-// New builds a Server; Serve starts it.
+// New builds a Server over a fresh local cache; Serve starts it.
 func New(cfg Config) *Server {
-	s := &Server{
-		cfg:   cfg,
-		cache: adaptivekv.New[string, Value](cfg.Cache),
-		m:     newServerMetrics(),
-	}
-	s.core = NewCore(
-		CoreConfig{MaxConns: cfg.MaxConns, Logf: cfg.Logf},
-		CoreMetrics{
-			ConnsOpened:       s.m.connsOpened,
-			ConnsClosed:       s.m.connsClosed,
-			ConnsActive:       s.m.connsActive,
-			ConnsRejected:     s.m.connsRejected,
-			ShedWriteFailures: s.m.shedWriteFailures,
-			PanicsRecovered:   s.m.panicsRecovered,
-			AcceptRetries:     s.m.acceptRetries,
-		},
-		s.handle,
-	)
+	s := newServer(cfg, metrics.NewRegistry(), "kv")
+	s.cache = adaptivekv.New[string, Value](cfg.Cache)
+	s.backend = cacheBackend{s}
 	s.shardLabels = shardLabelSet(s.cache.Shards())
 	s.m.reg.Collect(s.collectRuntime)
+	return s
+}
+
+// NewWithBackend builds a Server whose request loop serves from b
+// instead of a local cache; cfg.Cache is unused. The loop's instruments
+// register in reg as families named prefix_... (a node's are kv_...).
+func NewWithBackend(cfg Config, b Backend, reg *metrics.Registry, prefix string) *Server {
+	s := newServer(cfg, reg, prefix)
+	s.backend = b
+	return s
+}
+
+func newServer(cfg Config, reg *metrics.Registry, prefix string) *Server {
+	s := &Server{cfg: cfg, m: newServerMetrics(reg, prefix)}
+	s.core = newCore(cfg.MaxConns, cfg.Logf, s.m, s.handle)
 	return s
 }
 
@@ -147,7 +153,8 @@ func (s *Server) uptime() time.Duration {
 	return time.Since(time.Unix(0, ns))
 }
 
-// Cache exposes the underlying adaptive cache (stats, shape).
+// Cache exposes the underlying adaptive cache (stats, shape); nil for a
+// Server built with NewWithBackend.
 func (s *Server) Cache() *adaptivekv.Cache[string, Value] { return s.cache }
 
 // Counters snapshots the robustness counters.
@@ -158,6 +165,7 @@ func (s *Server) Counters() Counters {
 		AcceptRetries:     s.m.acceptRetries.Load(),
 		ClientErrors:      s.m.clientErrors.Load(),
 		ShedWriteFailures: s.m.shedWriteFailures.Load(),
+		UnackedReplies:    s.m.unacked.Load(),
 	}
 }
 
@@ -174,7 +182,7 @@ func (s *Server) SetsRejected() uint64 { return s.m.setsRejected.Load() }
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.core.Draining() }
 
-// Serve accepts connections until the listener closes; see Core.Serve
+// Serve accepts connections until the listener closes; see core.Serve
 // for the accept-retry and shedding contract.
 func (s *Server) Serve(ln net.Listener) {
 	s.startNanos.CompareAndSwap(0, time.Now().UnixNano())
@@ -187,7 +195,9 @@ func (s *Server) Serve(ln net.Listener) {
 // TTL sweeper, stopped once the last request is done with the cache.
 func (s *Server) Shutdown(ln net.Listener, grace time.Duration) {
 	s.core.Shutdown(ln, grace)
-	s.cache.Close()
+	if s.cache != nil {
+		s.cache.Close()
+	}
 }
 
 // Wait blocks until every connection goroutine has exited (Serve callers
@@ -251,16 +261,19 @@ const maxRunKeys = 256
 // copy is pure overhead: the buffer would auto-flush mid-value anyway.
 const vectorMin = 4096
 
-// getRun accumulates a consecutive run of pipelined get requests for one
-// shard-grouped dispatch. Key bytes are copied out of the parser's
-// buffers (parse-ahead invalidates them); the slices themselves persist
-// for the connection's lifetime, so steady-state runs don't allocate.
+// getRun accumulates a consecutive run of pipelined get (or gets)
+// requests for one batched dispatch. Key bytes are copied out of the
+// parser's buffers (parse-ahead invalidates them); the slices themselves
+// persist for the connection's lifetime, so steady-state runs don't
+// allocate.
 type getRun struct {
+	cas    bool // a gets run: replies carry cas uniques
 	keys   []string
 	counts []int // keys per queued request, in arrival order
 	vals   []Value
-	casids []uint64 // gets only; sized lazily by execGets
+	casids []uint64
 	oks    []bool
+	errs   []error
 	hdr    []byte      // scratch for vectored VALUE headers
 	iov    net.Buffers // reused 3-element vector: header, payload, CRLF
 }
@@ -274,129 +287,116 @@ func (b *getRun) add(keys [][]byte) {
 
 func (b *getRun) pending() bool { return len(b.counts) > 0 }
 
-// execGetRun resolves the queued run in one GetBatch — gets grouped by
-// shard, one lock acquisition per shard per chunk — then emits replies
-// in exact request order. Latency is recorded as one sample per key at
-// the run's mean, so histogram counts stay equal to the cache's own
-// per-key op counters. Returns false when the connection is unusable.
-func (s *Server) execGetRun(b *getRun, w *bufio.Writer, cio *connIO, opsInFlush *int) bool {
+// execRun resolves the queued run in one Backend.GetBatch — on a node,
+// gets grouped by shard with one lock acquisition per shard per chunk;
+// on the router, one scatter across the owners — then emits replies in
+// exact request order. Each request ends on its own terminator: END, or
+// SERVER_ERROR after its surviving hits when one of its keys got no
+// answer. Latency is recorded as one sample per key at the run's mean,
+// so histogram counts stay equal to the cache's own per-key op counters.
+// Returns false when the connection is unusable.
+func (s *Server) execRun(b *getRun, w *bufio.Writer, cio *connIO, opsInFlush *int) bool {
 	start := time.Now()
 	n := len(b.keys)
 	// A run can overshoot maxRunKeys by one multiget's worth of keys
 	// (the cap is checked before queueing, not after), so size to n.
 	if cap(b.vals) < n {
-		c := maxRunKeys + kvproto.MaxGetKeys
-		if c < n {
-			c = n
-		}
+		c := max(maxRunKeys+kvproto.MaxGetKeys, n)
 		b.vals = make([]Value, c)
 		b.oks = make([]bool, c)
+		b.errs = make([]error, c)
 	}
-	vals, oks := b.vals[:n], b.oks[:n]
-	s.cache.GetBatch(b.keys, vals, oks)
+	var casids []uint64
+	if b.cas {
+		if cap(b.casids) < n {
+			b.casids = make([]uint64, cap(b.vals))
+		}
+		casids = b.casids[:n]
+	}
+	failed := s.backend.GetBatch(b.keys, b.vals[:n], casids, b.oks[:n], b.errs[:n]) != nil
 	ok := true
 	idx := 0
 outer:
 	for _, cnt := range b.counts {
+		var err error
 		for j := 0; j < cnt; j++ {
-			if oks[idx] && !s.writeValue(w, cio, b.keys[idx], vals[idx], b) {
+			if b.oks[idx] && !s.writeValue(w, cio, b, idx) {
 				ok = false
 				break outer
 			}
+			if failed && err == nil {
+				err = b.errs[idx]
+			}
 			idx++
 		}
-		kvproto.WriteEnd(w)
+		if err != nil {
+			kvproto.WriteServerError(w, s.failureMsg(err))
+		} else {
+			kvproto.WriteEnd(w)
+		}
 		*opsInFlush++
+	}
+	h := s.m.opLat[opGetIdx]
+	if b.cas {
+		h = s.m.opLat[opGetsIdx]
 	}
 	per := int64(time.Since(start)) / int64(n)
 	for i := 0; i < n; i++ {
-		s.m.opLat[opGetIdx].RecordNS(per)
+		h.RecordNS(per)
 	}
 	b.keys = b.keys[:0]
 	b.counts = b.counts[:0]
 	return ok
 }
 
-// execGets resolves one gets request — a batched lookup surfacing each
-// hit's cas unique — and emits 4-field VALUE blocks plus END. The run's
-// scratch is reused (a gets always executes with the run empty: any
-// non-get op flushes it first). Latency lands as one sample per key at
-// the request's mean, mirroring execGetRun, so the get+gets histogram
-// counts together equal the cache's Gets counter. Returns false when the
-// connection is unusable.
-func (s *Server) execGets(b *getRun, reqKeys [][]byte, w *bufio.Writer, cio *connIO) bool {
-	start := time.Now()
-	n := len(reqKeys)
-	b.keys = b.keys[:0]
-	for _, k := range reqKeys {
-		b.keys = append(b.keys, string(k))
-	}
-	if cap(b.vals) < n {
-		c := maxRunKeys + kvproto.MaxGetKeys
-		b.vals = make([]Value, c)
-		b.oks = make([]bool, c)
-	}
-	if cap(b.casids) < n {
-		b.casids = make([]uint64, maxRunKeys+kvproto.MaxGetKeys)
-	}
-	vals, oks, casids := b.vals[:n], b.oks[:n], b.casids[:n]
-	s.cache.GetBatchCas(b.keys, vals, casids, oks)
-	ok := true
-	for i := 0; i < n; i++ {
-		if oks[i] && !s.writeValueCas(w, cio, b.keys[i], vals[i], casids[i], b) {
-			ok = false
-			break
+// writeValue emits the run's VALUE block i, with its cas unique in a
+// gets run. Small values ride the reply buffer; large ones flush it
+// first (replies stay ordered) and go out as a single vectored write of
+// header+payload+terminator, skipping the per-value copy. Returns false
+// on a failed vectored write; bufio write errors are sticky and surface
+// at the next Flush.
+func (s *Server) writeValue(w *bufio.Writer, cio *connIO, b *getRun, i int) bool {
+	key, v := b.keys[i], b.vals[i]
+	if len(v.Data) < vectorMin {
+		if b.cas {
+			kvproto.WriteValueCasString(w, key, v.Flags, b.casids[i], v.Data)
+		} else {
+			kvproto.WriteValueString(w, key, v.Flags, v.Data)
 		}
-	}
-	if ok {
-		kvproto.WriteEnd(w)
-	}
-	per := int64(time.Since(start)) / int64(n)
-	for i := 0; i < n; i++ {
-		s.m.opLat[opGetsIdx].RecordNS(per)
-	}
-	b.keys = b.keys[:0]
-	return ok
-}
-
-// writeValue emits one VALUE block. Small values ride the reply buffer;
-// large ones flush it first (replies stay ordered) and go out as a
-// single vectored write of header+payload+terminator, skipping the
-// per-value copy. Returns false on a failed vectored write; bufio write
-// errors are sticky and surface at the next Flush.
-func (s *Server) writeValue(w *bufio.Writer, cio *connIO, key string, v Value, b *getRun) bool {
-	if len(v.Data) < vectorMin {
-		kvproto.WriteValueString(w, key, v.Flags, v.Data)
 		return true
 	}
 	if w.Flush() != nil {
 		return false
 	}
-	b.hdr = kvproto.AppendValueHeader(b.hdr[:0], key, v.Flags, len(v.Data))
+	if b.cas {
+		b.hdr = kvproto.AppendValueCasHeader(b.hdr[:0], key, v.Flags, len(v.Data), b.casids[i])
+	} else {
+		b.hdr = kvproto.AppendValueHeader(b.hdr[:0], key, v.Flags, len(v.Data))
+	}
 	b.iov = append(b.iov[:0], b.hdr, v.Data, kvproto.CRLF)
 	bufs := b.iov
 	return cio.WriteBuffers(&bufs) == nil
 }
 
-// writeValueCas is writeValue for gets replies: the VALUE header carries
-// the entry's cas unique as a fourth field, with the same small/vectored
-// split.
-func (s *Server) writeValueCas(w *bufio.Writer, cio *connIO, key string, v Value, casid uint64, b *getRun) bool {
-	if len(v.Data) < vectorMin {
-		kvproto.WriteValueCasString(w, key, v.Flags, casid, v.Data)
-		return true
+// failureMsg maps a backend error onto its SERVER_ERROR line. The lines
+// are fixed so a degraded reply is byte-identical every time. An
+// ambiguous write is counted: chaos gates reconcile the tally against
+// the unacked errors their clients saw.
+func (s *Server) failureMsg(err error) string {
+	var down interface{ NodeDown() bool }
+	switch {
+	case errors.As(err, &down) && down.NodeDown():
+		return "node down"
+	case errors.Is(err, kvproto.ErrUnacked):
+		s.m.unacked.Inc()
+		return "unacked"
+	default:
+		return "backend failure"
 	}
-	if w.Flush() != nil {
-		return false
-	}
-	b.hdr = kvproto.AppendValueCasHeader(b.hdr[:0], key, v.Flags, len(v.Data), casid)
-	b.iov = append(b.iov[:0], b.hdr, v.Data, kvproto.CRLF)
-	bufs := b.iov
-	return cio.WriteBuffers(&bufs) == nil
 }
 
-// handle runs one connection's request loop under the Core's isolation
-// contract: closing, bookkeeping, and panic recovery belong to Core.run,
+// handle runs one connection's request loop under the core's isolation
+// contract: closing, bookkeeping, and panic recovery belong to core.run,
 // so a panic here — a handler bug, a hostile request, an injected fault
 // — degrades one client instead of all.
 func (s *Server) handle(conn net.Conn) {
@@ -421,7 +421,7 @@ func (s *Server) handle(conn net.Conn) {
 		case errors.As(err, &ce):
 			// Answer any queued gets first so error replies keep their
 			// place in the request order.
-			if run.pending() && !s.execGetRun(run, w, cio, &opsInFlush) {
+			if run.pending() && !s.execRun(run, w, cio, &opsInFlush) {
 				return
 			}
 			s.m.clientErrors.Inc()
@@ -437,7 +437,7 @@ func (s *Server) handle(conn net.Conn) {
 			// Clean close, timeout, or corrupt stream. A pipelining
 			// client may have queued gets then closed its write side:
 			// answer them best-effort before dropping the connection.
-			if run.pending() && s.execGetRun(run, w, cio, &opsInFlush) {
+			if run.pending() && s.execRun(run, w, cio, &opsInFlush) {
 				w.Flush()
 			}
 			return
@@ -447,30 +447,38 @@ func (s *Server) handle(conn net.Conn) {
 			s.cfg.FaultHook(&req)
 		}
 
-		if req.Op == kvproto.OpGet {
+		if req.Op == kvproto.OpGet || req.Op == kvproto.OpGets {
+			// A run holds one kind of request: get and gets replies
+			// differ in shape.
+			cas := req.Op == kvproto.OpGets
+			if run.pending() && run.cas != cas && !s.execRun(run, w, cio, &opsInFlush) {
+				return
+			}
+			run.cas = cas
 			run.add(req.Keys)
 			// Parse ahead: while the burst has more requests already
 			// buffered and the run has room, keep queueing — consecutive
-			// gets collapse into one shard-batched dispatch.
+			// gets collapse into one batched dispatch.
 			if rd.Buffered() > 0 && len(run.keys) < maxRunKeys {
 				continue
 			}
-			if !s.execGetRun(run, w, cio, &opsInFlush) {
+			if !s.execRun(run, w, cio, &opsInFlush) {
 				return
 			}
 		} else {
-			// A non-get op ends the run; replies stay in request order.
-			if run.pending() && !s.execGetRun(run, w, cio, &opsInFlush) {
+			// Any other op ends the run; replies stay in request order.
+			if run.pending() && !s.execRun(run, w, cio, &opsInFlush) {
 				return
 			}
 			opStart := time.Now()
 			// rejected marks an op refused at admission: it wrote an error
-			// reply but never touched the cache, so it must not record
+			// reply but never touched the backend, so it must not record
 			// service latency or count as a replying op — the per-op
 			// histogram counts stay equal to the engine's op counts (the
 			// invariant the chaos harness asserts). Rejects are tallied in
 			// kv_sets_rejected_total instead.
 			rejected := false
+			var err error // a backend failure, answered SERVER_ERROR
 			switch req.Op {
 			case kvproto.OpSet:
 				if len(req.Value) > maxItem {
@@ -479,14 +487,8 @@ func (s *Server) handle(conn net.Conn) {
 					rejected = true
 					break
 				}
-				data := make([]byte, len(req.Value))
-				copy(data, req.Value)
-				deadline := kvproto.DeadlineNanos(req.Exptime, opStart)
-				s.cache.SetTTL(string(req.Key), Value{Flags: req.Flags, Data: data}, deadline)
-				kvproto.WriteStored(w)
-			case kvproto.OpGets:
-				if !s.execGets(run, req.Keys, w, cio) {
-					return
+				if err = s.backend.Set(req.Key, req.Flags, req.Exptime, req.Value); err == nil {
+					kvproto.WriteStored(w)
 				}
 			case kvproto.OpCas:
 				if len(req.Value) > maxItem {
@@ -495,41 +497,48 @@ func (s *Server) handle(conn net.Conn) {
 					rejected = true
 					break
 				}
-				data := make([]byte, len(req.Value))
-				copy(data, req.Value)
-				deadline := kvproto.DeadlineNanos(req.Exptime, opStart)
-				switch s.cache.CompareAndSwap(string(req.Key), Value{Flags: req.Flags, Data: data}, req.Cas, deadline) {
-				case adaptivekv.CasStored:
+				var st kvproto.CasStatus
+				switch st, err = s.backend.Cas(req.Key, req.Flags, req.Exptime, req.Cas, req.Value); {
+				case err != nil:
+				case st == kvproto.CasStored:
 					kvproto.WriteStored(w)
-				case adaptivekv.CasExists:
+				case st == kvproto.CasExists:
 					kvproto.WriteExists(w)
 				default:
 					kvproto.WriteNotFound(w)
 				}
 			case kvproto.OpDelete:
-				if s.cache.Delete(string(req.Key)) {
+				var found bool
+				switch found, err = s.backend.Delete(req.Key); {
+				case err != nil:
+				case found:
 					kvproto.WriteDeleted(w)
-				} else {
+				default:
 					kvproto.WriteNotFound(w)
 				}
 			case kvproto.OpStats:
-				s.writeStats(w)
+				kvproto.WriteStat(w, "uptime_seconds", uint64(s.uptime().Seconds()))
+				s.backend.WriteStats(w)
+				kvproto.WriteEnd(w)
 			case kvproto.OpNoop:
 				kvproto.WriteNoop(w)
 			case kvproto.OpFlushAll:
-				s.cache.Flush()
-				s.m.flushes.Inc()
-				kvproto.WriteOk(w)
+				if err = s.backend.FlushAll(); err == nil {
+					s.m.flushes.Inc()
+					kvproto.WriteOk(w)
+				}
 			case kvproto.OpQuit:
 				w.Flush()
 				return
 			default:
 				kvproto.WriteError(w)
 			}
+			if err != nil {
+				kvproto.WriteServerError(w, s.failureMsg(err))
+			}
 			if !rejected {
 				opsInFlush++
-				// gets records its own per-key samples inside execGets.
-				if i := opIndex(req.Op); i >= 0 && req.Op != kvproto.OpGets {
+				if i := opIndex(req.Op); i >= 0 {
 					s.m.opLat[i].RecordNS(int64(time.Since(opStart)))
 				}
 			}
@@ -559,74 +568,6 @@ func (s *Server) Healthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte("ok\n"))
-}
-
-// writeStats emits aggregate counters, the cache shape, robustness
-// counters, latency summaries, and per-shard adaptive-scheme detail.
-func (s *Server) writeStats(w *bufio.Writer) {
-	st := s.cache.Stats()
-	cfg := s.cache.Config()
-	ct := s.Counters()
-	nc := s.NetCounters()
-	kvproto.WriteStat(w, "uptime_seconds", uint64(s.uptime().Seconds()))
-	kvproto.WriteStatStr(w, "mode", string(cfg.Mode))
-	kvproto.WriteStatStr(w, "components", strings.Join(cfg.Components, ","))
-	kvproto.WriteStat(w, "shards", uint64(cfg.Shards))
-	kvproto.WriteStat(w, "capacity", uint64(s.cache.Capacity()))
-	kvproto.WriteStat(w, "items", uint64(s.cache.Len()))
-	kvproto.WriteStat(w, "cmd_get", st.Gets)
-	kvproto.WriteStat(w, "get_hits", st.GetHits)
-	kvproto.WriteStat(w, "get_misses", st.Gets-st.GetHits)
-	kvproto.WriteStat(w, "cmd_set", st.Stores)
-	kvproto.WriteStat(w, "cmd_cas", st.CasOps())
-	kvproto.WriteStat(w, "cas_hits", st.CasStored)
-	kvproto.WriteStat(w, "cas_badval", st.CasConflicts)
-	kvproto.WriteStat(w, "cas_misses", st.CasMisses)
-	kvproto.WriteStat(w, "sets_rejected", s.m.setsRejected.Load())
-	kvproto.WriteStat(w, "cmd_delete", st.Deletes)
-	kvproto.WriteStat(w, "delete_hits", st.DeleteHits)
-	kvproto.WriteStat(w, "evictions", st.Evictions)
-	kvproto.WriteStat(w, "policy_switches", st.PolicySwitches)
-	kvproto.WriteStat(w, "hash_collisions", st.HashCollisions)
-	kvproto.WriteStat(w, "flushes", s.m.flushes.Load())
-	kvproto.WriteStat(w, "optimistic_get_fastpath", st.OptimisticFastpath)
-	kvproto.WriteStat(w, "optimistic_get_fallback", st.OptimisticFallback)
-	kvproto.WriteStat(w, "pending_hits_dropped", st.PendingHitsDropped)
-	kvproto.WriteStat(w, "expired", st.Expired)
-	kvproto.WriteStat(w, "sweep_removed", st.SweepRemoved)
-	kvproto.WriteStat(w, "sweep_passes", s.cache.SweepPasses())
-	kvproto.WriteStat(w, "conns_rejected", ct.ConnsRejected)
-	kvproto.WriteStat(w, "panics_recovered", ct.PanicsRecovered)
-	kvproto.WriteStat(w, "accept_retries", ct.AcceptRetries)
-	kvproto.WriteStat(w, "client_errors", ct.ClientErrors)
-	kvproto.WriteStat(w, "shed_write_failures", ct.ShedWriteFailures)
-	kvproto.WriteStat(w, "bytes_in", nc.BytesIn)
-	kvproto.WriteStat(w, "bytes_out", nc.BytesOut)
-	kvproto.WriteStat(w, "vectored_writes", nc.VectoredWrites)
-	kvproto.WriteStat(w, "conns_opened", nc.ConnsOpened)
-	kvproto.WriteStat(w, "conns_active", uint64(s.ConnsActive()))
-	for _, op := range opNames {
-		ol := s.OpLatency(op)
-		kvproto.WriteStat(w, op+"_latency_count", ol.Count)
-		kvproto.WriteStat(w, op+"_latency_p50_us", uint64(ol.P50.Microseconds()))
-		kvproto.WriteStat(w, op+"_latency_p99_us", uint64(ol.P99.Microseconds()))
-		kvproto.WriteStat(w, op+"_latency_max_us", uint64(ol.Max.Microseconds()))
-	}
-	kvproto.WriteStatStr(w, "hit_ratio", fmt.Sprintf("%.4f", st.HitRatio()))
-	kvproto.WriteStatStr(w, "adaptive_overhead_pct", fmt.Sprintf("%.4f", s.cache.OverheadPercent()))
-	for i := 0; i < s.cache.Shards(); i++ {
-		sh := s.cache.ShardStats(i)
-		prefix := fmt.Sprintf("shard%d_", i)
-		kvproto.WriteStat(w, prefix+"gets", sh.Gets)
-		kvproto.WriteStat(w, prefix+"get_hits", sh.GetHits)
-		kvproto.WriteStat(w, prefix+"evictions", sh.Evictions)
-		kvproto.WriteStat(w, prefix+"policy_switches", sh.PolicySwitches)
-		kvproto.WriteStat(w, prefix+"items", uint64(s.cache.ShardOccupancy(i)))
-		if wn := s.cache.Winner(i); wn >= 0 {
-			kvproto.WriteStatStr(w, prefix+"winner", cfg.Components[wn])
-		}
-	}
-	kvproto.WriteEnd(w)
 }
 
 // ExpvarMap builds the expvar snapshot: aggregate, robustness counters,
