@@ -33,12 +33,12 @@
 //     uniques (cas gates on the sync owner; a unique that survived a
 //     failover answers EXISTS, never a lost update), and the Router:
 //     kvserver's request loop over the Cluster, answering multi-key get
-//     and gets with one per-owner scatter.
+//     and gets, and runs of pipelined sets, with one per-owner scatter.
 //   - internal/kvserver — the serving layer: the one request loop, over
 //     a Backend (the local cache on a node, a kvcluster.Cluster on the
-//     router), with batched get/gets runs, per-op instruments, and the
-//     hardened envelope (accept retry, connection shedding, panic
-//     isolation, drain).
+//     router), with batched get/gets runs and set runs, per-op
+//     instruments, and the hardened envelope (accept retry, connection
+//     shedding, panic isolation, drain).
 //   - internal/fleet — in-process node fleets with kill/restart for chaos
 //     drivers and tests; internal/faultnet — seeded network fault
 //     injection; internal/chaosledger — the chaos drills' shared

@@ -33,9 +33,12 @@ type Config struct {
 	// first non-ejected owner — the client ack is gated only on that ack,
 	// preserving the never-replay-ambiguous-writes contract — and
 	// best-effort to the remaining owners, with every skipped or failed
-	// replica write counted as divergence. Reads route to the primary
-	// and fail over to the next live owner when it is ejected or fails,
-	// so a single node loss costs hit ratio, never availability.
+	// replica write counted as divergence. A set's replica copies ride
+	// its run's scatter, concurrently with the sync copy (SetBatch); a
+	// cas or delete copies to the replicas only after the sync owner
+	// acks (write). Reads route to the primary and fail over to the next
+	// live owner when it is ejected or fails, so a single node loss costs
+	// hit ratio, never availability.
 	Replicas int
 
 	// DisableReintegrationFlush skips the flush_all barrier the cluster
@@ -211,7 +214,7 @@ func New(cfg Config) (*Cluster, error) {
 		cl.pools = append(cl.pools, newNodePool(addr, i, cfg.PoolSize,
 			int32(cfg.FailThreshold), cl.m.nodeUp[i], cl.m.nodeEjections[i], mk))
 	}
-	cl.scatters.New = func() any { return &scatter{} }
+	cl.scatters.New = func() any { return &scatter{cl: cl} }
 	return cl, nil
 }
 
@@ -472,8 +475,10 @@ func (cl *Cluster) read(ix int, key []byte, fn func(*kvproto.ReconnectClient) er
 	return lastErr
 }
 
-// write runs a write (op ix) under the sync-owner contract: do runs on
-// the first live owner alone and the ack gates only on that node. Writes
+// write runs a cas or delete (op ix) under the sync-owner contract: do
+// runs on the first live owner alone and the ack gates only on that
+// node. (Sets keep the contract but take SetBatch's scatter, where the
+// replica copies travel with the sync copy instead of after it.) Writes
 // never fail over mid-op — an owner that dies between the pick and the
 // ack surfaces as an error rather than silently acking on a node the
 // next read won't prefer — and the backend client never replays an
@@ -568,17 +573,99 @@ func (cl *Cluster) Gets(key []byte) (val []byte, flags uint32, casid uint64, ok 
 	return val, flags, casid, ok, nil
 }
 
-// Set stores val under key through write: the ack gates on the first
-// live owner, then the same set is replicated best-effort.
+// Set stores val under key: SetBatch with a run of one.
+func (cl *Cluster) Set(key []byte, flags uint32, exptime int64, val []byte) error {
+	var errs [1]error
+	cl.SetBatch([]kvproto.SetReq{{Key: key, Value: val, Flags: flags, Exptime: exptime}}, errs[:])
+	return errs[0]
+}
+
+// SetBatch stores a run of sets with one scatter: every set goes to its
+// sync owner (the first live owner) and, best-effort, to each other live
+// owner, and each node's share — sync and replica copies alike — is
+// pipelined on one pooled connection in request order, so two sets to
+// one key land in order on every owner. The legs run concurrently, so a
+// run costs about one round trip to its slowest node.
+//
+// errs[i] receives set i's outcome, which gates on its sync owner's
+// reply alone, exactly as a lone write does: a node-down or failed sync
+// copy fails the set, and an ambiguous one surfaces as ErrUnacked. A
+// replica copy is sent in the same scatter, not after the ack, so it
+// may land even when its set fails; replica failures — skipped
+// (ejected), failed or ambiguous — are only counted, once per copy.
+// SetBatch returns nil when every set was acked.
 //
 // A relative exptime is normalized to its absolute form once at entry,
-// so the synchronous owner, every replica, and any backend-level retry
-// all carry the identical deadline — replication lag can never extend a
+// so the sync owner, every replica, and any backend-level retry all
+// carry the identical deadline — replication lag can never extend a
 // value's life on one owner relative to another.
-func (cl *Cluster) Set(key []byte, flags uint32, exptime int64, val []byte) error {
-	exptime = kvproto.AbsoluteExptime(exptime, time.Now())
-	set := func(c *kvproto.ReconnectClient) error { return c.Set(key, flags, exptime, val) }
-	return cl.write(ixSet, key, set, nil, set)
+func (cl *Cluster) SetBatch(sets []kvproto.SetReq, errs []error) error {
+	if len(sets) == 0 {
+		return nil
+	}
+	cl.m.routed[ixSet].Add(uint64(len(sets)))
+	now := time.Now()
+	sc := cl.scatters.Get().(*scatter)
+	defer cl.scatters.Put(sc)
+	sc.reset(len(cl.pools), len(sets), legSet)
+
+	var ownBuf [8]int
+	for i := range sets {
+		st := sets[i]
+		st.Exptime = kvproto.AbsoluteExptime(st.Exptime, now)
+		owners := cl.ownersFor(ownBuf[:0], st.Key)
+		sync := cl.syncOwner(owners)
+		sc.syncOf[i] = sync
+		errs[i] = nil
+		if sync < 0 {
+			errs[i] = nodeDown(cl.pools[owners[0]])
+			continue
+		}
+		for _, o := range owners {
+			if o != sync && cl.pools[o].ejected.Load() {
+				cl.m.replicaWriteFailures.Inc()
+				continue
+			}
+			sc.groups[o] = append(sc.groups[o], i)
+			sc.sets[o] = append(sc.sets[o], st)
+		}
+	}
+
+	cl.runScatter(sc)
+
+	for n, p := range cl.pools {
+		for j, i := range sc.groups[n] {
+			err := sc.setErrs[n][j]
+			switch {
+			case err == nil:
+			case sc.syncOf[i] == n:
+				if err == ErrNodeDown {
+					errs[i] = nodeDown(p)
+				} else {
+					errs[i] = fmt.Errorf("kvcluster: set via %s: %w", p.addr, err)
+				}
+			default:
+				cl.m.replicaWriteFailures.Inc()
+				if errors.Is(err, kvproto.ErrUnacked) {
+					cl.m.replicaUnacked.Inc()
+				}
+			}
+		}
+	}
+	var firstErr error
+	failed := 0
+	for _, err := range errs[:len(sets)] {
+		if err != nil {
+			failed++
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
+	if failed > 0 {
+		cl.m.failed[ixSet].Add(uint64(failed))
+	}
+	return firstErr
 }
 
 // Cas atomically replaces key's value iff its cas unique — from a prior
@@ -609,7 +696,8 @@ func (cl *Cluster) Cas(key []byte, flags uint32, exptime int64, casid uint64, va
 	return st, nil
 }
 
-// Delete removes key with Set's ack and replication contract.
+// Delete removes key with Set's ack contract; like a winning cas, it is
+// copied to the remaining owners only once the sync owner has answered.
 func (cl *Cluster) Delete(key []byte) (found bool, err error) {
 	err = cl.write(ixDelete, key,
 		func(c *kvproto.ReconnectClient) (err error) {
@@ -638,38 +726,84 @@ type valRef struct {
 	n     int
 }
 
-// scatter is the reusable state of one multi-key get or gets: per-node
-// index groups and key slices (disjoint, so node goroutines never share
-// an element), per-node value scratch, and the per-key outcome table.
+// legKind is what a scatter's legs run.
+type legKind uint8
+
+const (
+	legGet  legKind = iota // a multi-key get per node
+	legGets                // the same, each hit carrying its cas unique
+	legSet                 // a pipelined set run per node
+)
+
+// scatter is the reusable state of one multi-key get or gets, or one set
+// run: per-node index groups (disjoint, so node legs never share an
+// element) and, per kind, the legs' keys, value scratch and per-key
+// outcomes, or their sets and per-set outcomes. Its WaitGroup and leg
+// closures live here, with the pooled scatter, so a scatter allocates
+// nothing once warm.
 type scatter struct {
-	cas    bool // run gets: each hit carries its cas unique
+	cl     *Cluster
+	kind   legKind
 	groups [][]int
-	keys   [][][]byte
-	bufs   [][]byte
-	errs   []error
-	refs   []valRef
+	errs   []error // per node: a get leg's own failure
+
+	keys [][][]byte // get legs
+	bufs [][]byte
+	refs []valRef
+
+	sets    [][]kvproto.SetReq // set legs: each node's share, in request order
+	setErrs [][]error          // per node: each of its sets' outcome
+	syncOf  []int              // per set: its sync owner, -1 when none
+
+	wg   sync.WaitGroup
+	legs []func() // legs[n] runs node n's leg on its own goroutine
 }
 
-func (sc *scatter) reset(nodes, nkeys int, cas bool) {
-	sc.cas = cas
+func (sc *scatter) reset(nodes, n int, kind legKind) {
+	sc.kind = kind
 	for len(sc.groups) < nodes {
+		node := len(sc.groups)
 		sc.groups = append(sc.groups, nil)
+		sc.errs = append(sc.errs, nil)
 		sc.keys = append(sc.keys, nil)
 		sc.bufs = append(sc.bufs, nil)
-		sc.errs = append(sc.errs, nil)
+		sc.sets = append(sc.sets, nil)
+		sc.setErrs = append(sc.setErrs, nil)
+		sc.legs = append(sc.legs, func() {
+			defer sc.wg.Done()
+			sc.leg(node)
+		})
 	}
 	for i := 0; i < nodes; i++ {
 		sc.groups[i] = sc.groups[i][:0]
+		sc.errs[i] = nil
 		sc.keys[i] = sc.keys[i][:0]
 		sc.bufs[i] = sc.bufs[i][:0]
-		sc.errs[i] = nil
+		clear(sc.sets[i]) // drop the previous run's key and value bytes
+		sc.sets[i] = sc.sets[i][:0]
 	}
-	if cap(sc.refs) < nkeys {
-		sc.refs = make([]valRef, nkeys)
+	if kind == legSet {
+		if cap(sc.syncOf) < n {
+			sc.syncOf = make([]int, n)
+		}
+		sc.syncOf = sc.syncOf[:n]
+		return
 	}
-	sc.refs = sc.refs[:nkeys]
+	if cap(sc.refs) < n {
+		sc.refs = make([]valRef, n)
+	}
+	sc.refs = sc.refs[:n]
 	for i := range sc.refs {
 		sc.refs[i] = valRef{}
+	}
+}
+
+// leg runs node n's share of the scatter.
+func (sc *scatter) leg(n int) {
+	if sc.kind == legSet {
+		sc.cl.subSet(sc, n)
+	} else {
+		sc.cl.subGet(sc, n)
 	}
 }
 
@@ -705,9 +839,13 @@ func (cl *Cluster) gather(keys [][]byte, cas bool, fn func(i int, flags uint32, 
 		ix, op = ixGets, "multigets"
 	}
 	cl.m.routed[ix].Add(uint64(len(keys)))
+	kind := legGet
+	if cas {
+		kind = legGets
+	}
 	sc := cl.scatters.Get().(*scatter)
 	defer cl.scatters.Put(sc)
-	sc.reset(len(cl.pools), len(keys), cas)
+	sc.reset(len(cl.pools), len(keys), kind)
 
 	var ownBuf [8]int
 	touched, failover := 0, 0
@@ -743,7 +881,7 @@ func (cl *Cluster) gather(keys [][]byte, cas bool, fn func(i int, flags uint32, 
 	if cl.cfg.Replicas > 1 && cl.scatterFailed(sc) {
 		sc2 = cl.scatters.Get().(*scatter)
 		defer cl.scatters.Put(sc2)
-		sc2.reset(len(cl.pools), len(keys), cas)
+		sc2.reset(len(cl.pools), len(keys), kind)
 		retryNode = make([]int, len(keys))
 		for i := range retryNode {
 			retryNode[i] = -1
@@ -836,29 +974,25 @@ func (cl *Cluster) scatterFailed(sc *scatter) bool {
 	return false
 }
 
-// runScatter executes every populated group of sc: each leg but the
-// last on a goroutine of its own, the last on the calling goroutine, so
-// a one-node burst spawns nothing.
+// runScatter executes every populated group of sc, get and set legs
+// alike: each leg but the last on a goroutine of its own, the last on
+// the calling goroutine, so a one-node scatter spawns nothing.
 func (cl *Cluster) runScatter(sc *scatter) {
-	var wg sync.WaitGroup
 	last := -1
 	for n := range sc.groups {
 		if len(sc.groups[n]) == 0 {
 			continue
 		}
 		if last >= 0 {
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				cl.subGet(sc, n)
-			}(last)
+			sc.wg.Add(1)
+			go sc.legs[last]()
 		}
 		last = n
 	}
 	if last >= 0 {
-		cl.subGet(sc, last)
+		sc.leg(last)
 	}
-	wg.Wait()
+	sc.wg.Wait()
 }
 
 // FlushAll empties every live node in the fleet. Ejected nodes are
@@ -921,9 +1055,27 @@ func (cl *Cluster) subGet(sc *scatter, n int) {
 		sc.refs[group[j]] = valRef{hit: true, flags: flags, casid: casid, node: n, off: off, n: len(val)}
 	}
 	sc.errs[n] = cl.call(cl.pools[n], func(c *kvproto.ReconnectClient) error {
-		if sc.cas {
+		if sc.kind == legGets {
 			return c.MultiGets(sc.keys[n], fill)
 		}
 		return c.MultiGet(sc.keys[n], func(j int, flags uint32, val []byte) { fill(j, flags, 0, val) })
 	})
+}
+
+// subSet runs node n's share of a set run: its sets, sync and replica
+// copies in request order, pipelined on one pooled connection. Like
+// subGet it writes only node n's entries. A checkout refused because
+// the node is ejected fails every set of the leg with ErrNodeDown.
+func (cl *Cluster) subSet(sc *scatter, n int) {
+	sets := sc.sets[n]
+	if cap(sc.setErrs[n]) < len(sets) {
+		sc.setErrs[n] = make([]error, len(sets), cap(sets))
+	}
+	errs := sc.setErrs[n][:len(sets)]
+	sc.setErrs[n] = errs
+	if err := cl.call(cl.pools[n], func(c *kvproto.ReconnectClient) error { return c.SetRun(sets, errs) }); err == ErrNodeDown {
+		for j := range errs {
+			errs[j] = err
+		}
+	}
 }

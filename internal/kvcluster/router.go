@@ -26,9 +26,9 @@ type RouterConfig struct {
 // router owns the fanout. It is kvserver's request loop over the Cluster
 // as its Backend, so the proxy tier runs the cache tier's serving
 // envelope (accept retry, MaxConns shedding, panic isolation,
-// drain/force shutdown), get-run batching, reply-flush policy and
-// per-op instruments, registered as kvrouter_... families in the
-// cluster's registry.
+// drain/force shutdown), get-run and set-run batching, reply-flush
+// policy and per-op instruments, registered as kvrouter_... families in
+// the cluster's registry.
 //
 // Failure semantics are explicit rather than silent: an operation whose
 // owner node is down answers "SERVER_ERROR node down"; a get or gets
@@ -81,8 +81,8 @@ func (r *Router) MetricsHandler() http.Handler { return r.srv.MetricsHandler() }
 // against client-side observations.
 func (r *Router) UnackedReplies() uint64 { return r.srv.Counters().UnackedReplies }
 
-// clusterBackend serves kvserver's request loop from the Cluster. Set,
-// Cas, Delete and FlushAll are the Cluster's own.
+// clusterBackend serves kvserver's request loop from the Cluster.
+// SetBatch, Cas, Delete and FlushAll are the Cluster's own.
 type clusterBackend struct {
 	*Cluster
 	srv     *kvserver.Server // the loop over this backend, for stats

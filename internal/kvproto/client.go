@@ -173,6 +173,16 @@ func (c *Client) SendSet(key []byte, flags uint32, exptime int64, val []byte) {
 	c.bw.WriteString("\r\n")
 }
 
+// SetReq is one set of a pipelined run (ReconnectClient.SetRun and the
+// serving loop's set runs). Key and Value are borrowed: callees read
+// them only for the duration of the call.
+type SetReq struct {
+	Key     []byte
+	Value   []byte
+	Flags   uint32
+	Exptime int64
+}
+
 // SendDelete queues a delete without flushing.
 func (c *Client) SendDelete(key []byte) {
 	c.bw.WriteString("delete ")

@@ -78,10 +78,11 @@ func (c ReconnectConfig) withDefaults() ReconnectConfig {
 // dead-stream errors with capped exponential backoff plus deterministic
 // jitter. Idempotent operations (Get, Gets, MultiGet, Noop, FlushAll,
 // Stats) run under retry and are replayed transparently; non-idempotent
-// ones (Set, Delete, Cas) run under once, which retries only while the
-// request provably never reached processing (dial failure, SERVER_ERROR
-// busy shed). Once a write becomes ambiguous it fails with ErrUnacked
-// and the next operation runs on a fresh connection.
+// ones (Set, SetRun, Delete, Cas) run under once, which retries only
+// while the request provably never reached processing (dial failure,
+// SERVER_ERROR busy shed). Once a write becomes ambiguous it fails with
+// ErrUnacked and the next operation runs on a fresh connection; in a
+// pipelined SetRun, only the sets that never got a reply do.
 //
 // Like Client, a ReconnectClient serves one goroutine.
 type ReconnectClient struct {
@@ -202,14 +203,23 @@ func (rc *ReconnectClient) retry(op string, fn func(*Client) error) error {
 	return fmt.Errorf("kvproto: %s failed after %d attempts: %w", op, rc.cfg.MaxAttempts, lastErr)
 }
 
-// once runs an at-most-once operation (set, cas, delete) and is the one
-// home of the never-replay contract. An attempt is retried only while
-// the request provably never ran: the dial failed (nothing was sent) or
-// the server shed it busy (answered before processing). Any other
-// failure after the request may have been flushed is ambiguous — the
-// write may or may not have been applied — so it fails as ErrUnacked,
-// is never replayed, and the next operation runs on a fresh connection.
-func (rc *ReconnectClient) once(op string, fn func(*Client) error) error {
+// once runs n at-most-once requests (sets, or a lone cas or delete)
+// pipelined on one connection, in order, and is the one home of the
+// never-replay contract. send queues request i and read consumes its
+// reply; errs[i] receives request i's outcome.
+//
+// The run is retried whole only while it provably never ran: the dial
+// failed (nothing was sent) or the server shed the connection busy (its
+// first reply, written before any processing). A well-formed error
+// reply fails only its own request. Any other failure after the run may
+// have been flushed is ambiguous: if the stream dies after k replies,
+// the first k keep their outcomes, and every later request may or may
+// not have been applied — each fails as ErrUnacked, is counted once and
+// never replayed, and the next operation runs on a fresh connection.
+//
+// once returns the error that ended the run early (the ambiguity, or
+// attempt exhaustion), or nil when every request got a reply.
+func (rc *ReconnectClient) once(op string, n int, send func(c *Client, i int), read func(c *Client, i int) error, errs []error) error {
 	var lastErr error
 	for a := 0; a < rc.cfg.MaxAttempts; a++ {
 		if a > 0 {
@@ -221,23 +231,40 @@ func (rc *ReconnectClient) once(op string, fn func(*Client) error) error {
 			lastErr = err // nothing sent: safe to retry
 			continue
 		}
-		err = fn(c)
-		switch {
-		case err == nil:
-			return nil
-		case IsBusy(err):
-			rc.drop() // shed before processing: not applied, safe to retry
-			lastErr = err
-		case Recoverable(err):
-			return err // server rejected it; replaying cannot succeed
-		default:
-			rc.drop()
-			rc.countUnacked()
-			return fmt.Errorf("%w (%s): %v", ErrUnacked, op, err)
+		for i := 0; i < n; i++ {
+			send(c, i)
 		}
+		err = c.Flush()
+		k := 0 // replies read
+		for ; err == nil && k < n; k++ {
+			rerr := read(c, k)
+			if rerr != nil && (!Recoverable(rerr) || k == 0 && IsBusy(rerr)) {
+				err = rerr
+				break
+			}
+			errs[k] = rerr // nil, or a rejection of this request alone
+		}
+		if err == nil {
+			return nil
+		}
+		rc.drop()
+		if k == 0 && IsBusy(err) {
+			lastErr = err // shed before processing: not applied, safe to retry
+			continue
+		}
+		err = fmt.Errorf("%w (%s): %v", ErrUnacked, op, err)
+		for ; k < n; k++ {
+			rc.countUnacked()
+			errs[k] = err
+		}
+		return err
 	}
-	rc.countExhausted()
-	return fmt.Errorf("kvproto: %s failed after %d attempts: %w", op, rc.cfg.MaxAttempts, lastErr)
+	err := fmt.Errorf("kvproto: %s failed after %d attempts: %w", op, rc.cfg.MaxAttempts, lastErr)
+	for i := 0; i < n; i++ {
+		rc.countExhausted()
+		errs[i] = err
+	}
+	return err
 }
 
 // Get fetches key under retry. The returned slice is valid until the
@@ -273,39 +300,63 @@ func (rc *ReconnectClient) Gets(key []byte) (val []byte, flags uint32, casid uin
 func (rc *ReconnectClient) Cas(key []byte, flags uint32, exptime int64, casid uint64, val []byte) (CasStatus, error) {
 	exptime = AbsoluteExptime(exptime, time.Now())
 	var st CasStatus
-	err := rc.once("cas", func(c *Client) (err error) {
-		st, err = c.Cas(key, flags, exptime, casid, val)
-		return err
-	})
-	if err != nil {
-		return CasNotFound, err
+	var errs [1]error
+	rc.once("cas", 1,
+		func(c *Client, _ int) { c.SendCas(key, flags, exptime, casid, val) },
+		func(c *Client, _ int) (err error) {
+			st, err = c.ReadCasReply()
+			return err
+		}, errs[:])
+	if errs[0] != nil {
+		return CasNotFound, errs[0]
 	}
 	return st, nil
 }
 
-// Set stores val under key, at most once: an I/O failure after the
-// request may have been flushed returns ErrUnacked without replaying.
-//
-// A relative exptime is normalized to its absolute form once, before the
-// first attempt, so retries carry the same deadline the original attempt
-// would have set — a retry seconds later must not re-relativize the TTL
-// and silently extend the value's life.
+// Set stores val under key, at most once: it is SetRun with a run of
+// one.
 func (rc *ReconnectClient) Set(key []byte, flags uint32, exptime int64, val []byte) error {
-	exptime = AbsoluteExptime(exptime, time.Now())
-	return rc.once("set", func(c *Client) error {
-		return c.Set(key, flags, exptime, val)
-	})
+	var errs [1]error
+	rc.SetRun([]SetReq{{Key: key, Value: val, Flags: flags, Exptime: exptime}}, errs[:])
+	return errs[0]
+}
+
+// SetRun stores a run of sets pipelined on one connection in request
+// order — one flush, then the replies — each at most once under once's
+// contract: errs[i] receives set i's outcome, and if the connection
+// fails once the run may have been flushed, every set still without a
+// reply fails as ErrUnacked and is never replayed. It returns nil when
+// every set got a reply (a reply may still be a rejection, in errs),
+// else the error that ended the run early. Replies are read only after
+// the whole run is written, so callers keep runs bounded.
+//
+// Relative exptimes are normalized to their absolute form once, before
+// the first attempt, so a retry carries the deadline the original
+// attempt would have set — a retry seconds later must not
+// re-relativize the TTL and silently extend the value's life.
+func (rc *ReconnectClient) SetRun(sets []SetReq, errs []error) error {
+	now := time.Now()
+	return rc.once("set", len(sets),
+		func(c *Client, i int) {
+			s := &sets[i]
+			c.SendSet(s.Key, s.Flags, AbsoluteExptime(s.Exptime, now), s.Value)
+		},
+		func(c *Client, _ int) error { return c.ReadSetReply() },
+		errs)
 }
 
 // Delete removes key, at most once like Set (a replayed delete could
 // erase a newer concurrent write's visibility of state).
 func (rc *ReconnectClient) Delete(key []byte) (found bool, err error) {
-	err = rc.once("delete", func(c *Client) (err error) {
-		found, err = c.Delete(key)
-		return err
-	})
-	if err != nil {
-		return false, err
+	var errs [1]error
+	rc.once("delete", 1,
+		func(c *Client, _ int) { c.SendDelete(key) },
+		func(c *Client, _ int) (err error) {
+			found, err = c.ReadDeleteReply()
+			return err
+		}, errs[:])
+	if errs[0] != nil {
+		return false, errs[0]
 	}
 	return found, nil
 }

@@ -2,8 +2,10 @@ package kvproto
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -355,5 +357,171 @@ func TestReconnectCountersWired(t *testing.T) {
 	defer partial.Close()
 	if _, _, err := partial.Get([]byte("k")); err != nil {
 		t.Fatalf("get with partial counters: %v", err)
+	}
+}
+
+// setRunServer is a scripted peer for pipelined set runs. script runs
+// once per accepted connection, numbered from 1, and returns false to
+// close it. applied counts each set key read on a connection the
+// script let through to applySets.
+type setRunServer struct {
+	addr     string
+	accepted atomic.Int64
+	mu       sync.Mutex
+	applied  map[string]int
+}
+
+func startSetRunServer(t *testing.T, script func(s *setRunServer, conn net.Conn, rd *Reader, n int64)) *setRunServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	s := &setRunServer{addr: ln.Addr().String(), applied: make(map[string]int)}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n := s.accepted.Add(1)
+			go func() {
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				script(s, conn, NewReader(conn), n)
+			}()
+		}
+	}()
+	return s
+}
+
+// readSets reads n requests, recording every set's key.
+func (s *setRunServer) readSets(rd *Reader, n int) bool {
+	var req Request
+	for i := 0; i < n; i++ {
+		if rd.Next(&req) != nil || req.Op != OpSet {
+			return false
+		}
+		s.mu.Lock()
+		s.applied[string(req.Key)]++
+		s.mu.Unlock()
+	}
+	return true
+}
+
+// serveSets answers every set STORED until the stream ends.
+func (s *setRunServer) serveSets(conn net.Conn, rd *Reader) {
+	for s.readSets(rd, 1) {
+		conn.Write([]byte("STORED\r\n"))
+	}
+}
+
+func (s *setRunServer) count(key string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.applied[key]
+}
+
+func runOf(n int) []SetReq {
+	sets := make([]SetReq, n)
+	for i := range sets {
+		sets[i] = SetReq{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v"), Exptime: 60}
+	}
+	return sets
+}
+
+// TestSetRunStreamDiesMidPipeline: the peer reads a whole pipelined run
+// of N sets, answers k of them and closes. The first k sets keep their
+// replies; the other N-k may or may not have been applied, so each
+// fails as ErrUnacked naming set, is counted once, and is never
+// replayed. The next operation redials.
+func TestSetRunStreamDiesMidPipeline(t *testing.T) {
+	const n, k = 6, 2
+	srv := startSetRunServer(t, func(s *setRunServer, conn net.Conn, rd *Reader, conns int64) {
+		if conns > 1 {
+			s.serveSets(conn, rd)
+			return
+		}
+		if s.readSets(rd, n) {
+			conn.Write([]byte(strings.Repeat("STORED\r\n", k)))
+		}
+	})
+	var unacked metrics.Counter
+	rc := NewReconnect(srv.addr, ReconnectConfig{
+		ReadTimeout: 2 * time.Second,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  10 * time.Millisecond,
+		Seed:        13,
+		Counters:    &ReconnectCounters{Unacked: &unacked},
+	})
+	defer rc.Close()
+
+	sets, errs := runOf(n), make([]error, n)
+	if err := rc.SetRun(sets, errs); !errors.Is(err, ErrUnacked) {
+		t.Fatalf("SetRun = %v, want ErrUnacked", err)
+	}
+	for i, err := range errs {
+		switch {
+		case i < k && err != nil:
+			t.Errorf("set %d (acked before the stream died): %v", i, err)
+		case i >= k && !errors.Is(err, ErrUnacked):
+			t.Errorf("set %d: %v, want ErrUnacked", i, err)
+		case i >= k && !strings.Contains(err.Error(), "(set)"):
+			t.Errorf("set %d: error %q does not name set", i, err)
+		}
+	}
+	if rc.Unacked != n-k || unacked.Load() != n-k {
+		t.Errorf("unacked: client %d, shared %d, want %d", rc.Unacked, unacked.Load(), n-k)
+	}
+	if err := rc.Set([]byte("after"), 0, 0, []byte("v")); err != nil {
+		t.Fatalf("set after the dead pipeline: %v", err)
+	}
+	if got := srv.accepted.Load(); got != 2 {
+		t.Errorf("server accepted %d connections, want 2 (one redial)", got)
+	}
+	for _, st := range sets {
+		if c := srv.count(string(st.Key)); c != 1 {
+			t.Errorf("server saw set %s %d times, want once (never replayed)", st.Key, c)
+		}
+	}
+}
+
+// TestSetRunBusyShedRetriesWholeRun: a busy shed answers before any
+// processing, so the whole run is retried on a fresh connection, once,
+// and the server applies every set exactly once.
+func TestSetRunBusyShedRetriesWholeRun(t *testing.T) {
+	const n = 5
+	srv := startSetRunServer(t, func(s *setRunServer, conn net.Conn, rd *Reader, conns int64) {
+		if conns == 1 {
+			conn.Write(BusyLine)
+			return
+		}
+		s.serveSets(conn, rd)
+	})
+	rc := NewReconnect(srv.addr, ReconnectConfig{
+		ReadTimeout: 2 * time.Second,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  10 * time.Millisecond,
+		Seed:        14,
+	})
+	defer rc.Close()
+
+	sets, errs := runOf(n), make([]error, n)
+	if err := rc.SetRun(sets, errs); err != nil {
+		t.Fatalf("SetRun through a busy shed: %v", err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("set %d: %v", i, err)
+		}
+	}
+	if rc.Retries != 1 || rc.Unacked != 0 {
+		t.Errorf("retries=%d unacked=%d, want 1 and 0", rc.Retries, rc.Unacked)
+	}
+	for _, st := range sets {
+		if c := srv.count(string(st.Key)); c != 1 {
+			t.Errorf("server applied set %s %d times, want exactly once", st.Key, c)
+		}
 	}
 }

@@ -13,8 +13,11 @@ import (
 
 // Backend is the store the request loop serves from: the node's own
 // adaptivekv cache (New), or a kvcluster.Cluster behind the router
-// (NewWithBackend). Key and value arguments alias the parser's buffers
-// and are valid only for the call.
+// (NewWithBackend). A run of consecutive pipelined gets (or gets) and a
+// run of consecutive sets each arrive as one batched call; cas and
+// delete end a run and arrive alone. Key and value arguments alias the
+// parser's buffers or the loop's run arena and are valid only for the
+// call.
 //
 // A non-nil error fails the op and is answered "SERVER_ERROR <msg>":
 // "node down" when the error chain has a NodeDown() bool method
@@ -27,7 +30,10 @@ type Backend interface {
 	// got an answer; otherwise errs[i] holds the error of each key that
 	// got none and is nil for the rest.
 	GetBatch(keys []string, vals []Value, casids []uint64, oks []bool, errs []error) error
-	Set(key []byte, flags uint32, exptime int64, val []byte) error
+	// SetBatch stores a run of consecutive sets in request order (a run
+	// of one for a lone set). It sets errs[i] for every set, nil when
+	// the set was stored, and returns nil when every set was stored.
+	SetBatch(sets []kvproto.SetReq, errs []error) error
 	Cas(key []byte, flags uint32, exptime int64, casid uint64, val []byte) (kvproto.CasStatus, error)
 	Delete(key []byte) (found bool, err error)
 	FlushAll() error
@@ -50,9 +56,14 @@ func (b cacheBackend) GetBatch(keys []string, vals []Value, casids []uint64, oks
 	return nil
 }
 
-func (b cacheBackend) Set(key []byte, flags uint32, exptime int64, val []byte) error {
-	deadline := kvproto.DeadlineNanos(exptime, time.Now())
-	b.s.cache.SetTTL(string(key), Value{Flags: flags, Data: bytes.Clone(val)}, deadline)
+func (b cacheBackend) SetBatch(sets []kvproto.SetReq, errs []error) error {
+	now := time.Now()
+	for i := range sets {
+		st := &sets[i]
+		deadline := kvproto.DeadlineNanos(st.Exptime, now)
+		b.s.cache.SetTTL(string(st.Key), Value{Flags: st.Flags, Data: bytes.Clone(st.Value)}, deadline)
+		errs[i] = nil
+	}
 	return nil
 }
 

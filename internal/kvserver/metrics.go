@@ -29,6 +29,7 @@ var opNames = [opCount]string{"get", "set", "delete", "stats", "gets", "cas"}
 // Histogram indices the serving path records into directly.
 const (
 	opGetIdx  = 0
+	opSetIdx  = 1
 	opGetsIdx = 4
 )
 
@@ -37,7 +38,7 @@ func opIndex(op kvproto.Op) int {
 	case kvproto.OpGet:
 		return opGetIdx
 	case kvproto.OpSet:
-		return 1
+		return opSetIdx
 	case kvproto.OpDelete:
 		return 2
 	case kvproto.OpStats:
@@ -57,7 +58,8 @@ type serverMetrics struct {
 
 	// Per-op service time: parse-to-serialized reply, excluding the
 	// network write (slow clients must not pollute service histograms).
-	// Batched gets record one sample per key at the batch's mean.
+	// Get runs record one sample per key, and set runs one per set, at
+	// the run's mean.
 	opLat [opCount]*metrics.Histogram
 
 	// batchedOps observes how many replying ops each explicit flush

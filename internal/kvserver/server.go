@@ -25,10 +25,16 @@
 // consecutive get requests (including multi-key gets) are parsed ahead
 // while input is buffered, dispatched through adaptivekv.GetBatch with
 // one lock acquisition per shard per run, and answered in exact request
-// order. Values at or above the reply buffer size skip the buffer copy
-// entirely: the VALUE header is assembled into per-connection scratch
-// and header+payload+terminator go out as one vectored write
-// (net.Buffers → writev on TCP).
+// order. Runs of consecutive sets are parsed ahead the same way and
+// reach the backend as one SetBatch — a node stores them in order, the
+// router sends each owner its share as one pipelined round trip — and
+// each set is answered in its own place. A queued set's key and value
+// are copied into a per-connection arena only when the loop parses
+// ahead past it, so a lone set copies nothing; an oversize set ends the
+// run and is refused after the queued sets' replies. Values at or above
+// the reply buffer size skip the buffer copy entirely: the VALUE header
+// is assembled into per-connection scratch and header+payload+terminator
+// go out as one vectored write (net.Buffers → writev on TCP).
 //
 // The loop serves from a Backend: the node's own cache (New), or any
 // other store behind the same interface — kvcluster's Router is this
@@ -250,10 +256,10 @@ func (c *connIO) WriteBuffers(bufs *net.Buffers) error {
 	return err
 }
 
-// maxRunKeys caps how many keys one batched get dispatch may carry
-// (four shard-group chunks); past it the run executes and a fresh one
-// starts, bounding reply latency and scratch growth under hostile
-// pipelining.
+// maxRunKeys caps how many keys one batched get dispatch (four
+// shard-group chunks), or how many sets one set run, may carry; past it
+// the run executes and a fresh one starts, bounding reply latency and
+// scratch growth under hostile pipelining.
 const maxRunKeys = 256
 
 // vectorMin is the value size at which replies switch from the bufio
@@ -263,9 +269,8 @@ const vectorMin = 4096
 
 // getRun accumulates a consecutive run of pipelined get (or gets)
 // requests for one batched dispatch. Key bytes are copied out of the
-// parser's buffers (parse-ahead invalidates them); the slices themselves
-// persist for the connection's lifetime, so steady-state runs don't
-// allocate.
+// parser's buffers (parse-ahead invalidates them), one string per key;
+// the slices themselves persist for the connection's lifetime.
 type getRun struct {
 	cas    bool // a gets run: replies carry cas uniques
 	keys   []string
@@ -286,6 +291,90 @@ func (b *getRun) add(keys [][]byte) {
 }
 
 func (b *getRun) pending() bool { return len(b.counts) > 0 }
+
+// maxRunBytes caps the key and value bytes a set run copies while the
+// loop parses ahead. A set that would overflow it ends the run and is
+// passed straight from the parser, so the arena stays small however
+// large the values a client pipelines.
+const maxRunBytes = 64 << 10
+
+// setRun accumulates a consecutive run of pipelined sets for one
+// Backend.SetBatch. The parser reuses its buffers on every request, so
+// a queued set's key and value are copied into arena only when the loop
+// parses ahead past it; the run's last set is passed straight from the
+// parser, so a run of one copies nothing. The slices persist for the
+// connection's lifetime, so steady-state runs don't allocate.
+type setRun struct {
+	sets  []kvproto.SetReq
+	errs  []error
+	arena []byte
+}
+
+// add queues req, still aliasing the parser's buffers.
+func (r *setRun) add(req *kvproto.Request) {
+	r.sets = append(r.sets, kvproto.SetReq{Key: req.Key, Value: req.Value, Flags: req.Flags, Exptime: req.Exptime})
+}
+
+// own moves the last queued set's key and value into the arena, before
+// the parser reuses its buffers. Earlier sets keep pointing into the old
+// array when an append moves the arena.
+func (r *setRun) own() {
+	st := &r.sets[len(r.sets)-1]
+	off := len(r.arena)
+	r.arena = append(r.arena, st.Key...)
+	r.arena = append(r.arena, st.Value...)
+	mid, end := off+len(st.Key), len(r.arena)
+	st.Key = r.arena[off:mid:mid]
+	st.Value = r.arena[mid:end:end]
+}
+
+// room reports whether the loop may parse ahead past the last queued set.
+func (r *setRun) room() bool {
+	st := &r.sets[len(r.sets)-1]
+	return len(r.sets) < maxRunKeys && len(r.arena)+len(st.Key)+len(st.Value) <= maxRunBytes
+}
+
+func (r *setRun) pending() bool { return len(r.sets) > 0 }
+
+// execSets stores the queued run in one Backend.SetBatch — on a node,
+// each set in order into the cache; on the router, one scatter across
+// the owners — then answers each set in request order: STORED, or the
+// SERVER_ERROR line of its own failure. Latency is recorded as one
+// sample per set at the run's mean, like a get run.
+func (s *Server) execSets(r *setRun, w *bufio.Writer, opsInFlush *int) {
+	start := time.Now()
+	n := len(r.sets)
+	if cap(r.errs) < n {
+		r.errs = make([]error, max(n, cap(r.sets)))
+	}
+	errs := r.errs[:n]
+	s.backend.SetBatch(r.sets, errs) // every set's outcome lands in errs
+	for _, err := range errs {
+		if err != nil {
+			kvproto.WriteServerError(w, s.failureMsg(err))
+		} else {
+			kvproto.WriteStored(w)
+		}
+	}
+	*opsInFlush += n
+	h := s.m.opLat[opSetIdx]
+	per := int64(time.Since(start)) / int64(n)
+	for i := 0; i < n; i++ {
+		h.RecordNS(per)
+	}
+	r.sets = r.sets[:0]
+	r.arena = r.arena[:0]
+}
+
+// execPending answers whichever run is queued (at most one is: starting
+// either kind executes the other first). Returns false when the
+// connection is unusable.
+func (s *Server) execPending(run *getRun, sets *setRun, w *bufio.Writer, cio *connIO, opsInFlush *int) bool {
+	if sets.pending() {
+		s.execSets(sets, w, opsInFlush)
+	}
+	return !run.pending() || s.execRun(run, w, cio, opsInFlush)
+}
 
 // execRun resolves the queued run in one Backend.GetBatch — on a node,
 // gets grouped by shard with one lock acquisition per shard per chunk;
@@ -409,6 +498,7 @@ func (s *Server) handle(conn net.Conn) {
 	rd := kvproto.NewReader(cio)
 	w := bufio.NewWriterSize(cio, 4096)
 	run := &getRun{}
+	sets := &setRun{}
 	opsInFlush := 0
 	var req kvproto.Request
 	var ce *kvproto.ClientError
@@ -419,9 +509,9 @@ func (s *Server) handle(conn net.Conn) {
 		switch err := rd.Next(&req); {
 		case err == nil:
 		case errors.As(err, &ce):
-			// Answer any queued gets first so error replies keep their
+			// Answer any queued run first so error replies keep their
 			// place in the request order.
-			if run.pending() && !s.execRun(run, w, cio, &opsInFlush) {
+			if !s.execPending(run, sets, w, cio, &opsInFlush) {
 				return
 			}
 			s.m.clientErrors.Inc()
@@ -435,9 +525,11 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		default:
 			// Clean close, timeout, or corrupt stream. A pipelining
-			// client may have queued gets then closed its write side:
-			// answer them best-effort before dropping the connection.
-			if run.pending() && s.execRun(run, w, cio, &opsInFlush) {
+			// client may have queued requests then closed its write
+			// side: apply and answer them best-effort before dropping
+			// the connection (a queued set was fully parsed, so it is
+			// applied, as it would have been outside a run).
+			if s.execPending(run, sets, w, cio, &opsInFlush) {
 				w.Flush()
 			}
 			return
@@ -447,10 +539,14 @@ func (s *Server) handle(conn net.Conn) {
 			s.cfg.FaultHook(&req)
 		}
 
-		if req.Op == kvproto.OpGet || req.Op == kvproto.OpGets {
+		switch {
+		case req.Op == kvproto.OpGet || req.Op == kvproto.OpGets:
 			// A run holds one kind of request: get and gets replies
 			// differ in shape.
 			cas := req.Op == kvproto.OpGets
+			if sets.pending() {
+				s.execSets(sets, w, &opsInFlush)
+			}
 			if run.pending() && run.cas != cas && !s.execRun(run, w, cio, &opsInFlush) {
 				return
 			}
@@ -465,38 +561,39 @@ func (s *Server) handle(conn net.Conn) {
 			if !s.execRun(run, w, cio, &opsInFlush) {
 				return
 			}
-		} else {
-			// Any other op ends the run; replies stay in request order.
+		case req.Op == kvproto.OpSet && len(req.Value) <= maxItem:
+			// Consecutive sets collapse into one Backend.SetBatch the same
+			// way; an oversize set ends the run below and is refused in
+			// its own place, after the queued sets' replies.
 			if run.pending() && !s.execRun(run, w, cio, &opsInFlush) {
 				return
 			}
+			sets.add(&req)
+			if rd.Buffered() > 0 && sets.room() {
+				sets.own()
+				continue
+			}
+			s.execSets(sets, w, &opsInFlush)
+		default:
+			// Any other op ends the run; replies stay in request order.
+			if !s.execPending(run, sets, w, cio, &opsInFlush) {
+				return
+			}
 			opStart := time.Now()
-			// rejected marks an op refused at admission: it wrote an error
-			// reply but never touched the backend, so it must not record
-			// service latency or count as a replying op — the per-op
+			// rejected marks an op refused at admission: an oversize store
+			// (set or cas; no other request carries a value). It writes an
+			// error reply but never touches the backend, so it must not
+			// record service latency or count as a replying op — the per-op
 			// histogram counts stay equal to the engine's op counts (the
 			// invariant the chaos harness asserts). Rejects are tallied in
 			// kv_sets_rejected_total instead.
-			rejected := false
+			rejected := len(req.Value) > maxItem
 			var err error // a backend failure, answered SERVER_ERROR
-			switch req.Op {
-			case kvproto.OpSet:
-				if len(req.Value) > maxItem {
-					kvproto.WriteServerError(w, "object too large")
-					s.m.setsRejected.Inc()
-					rejected = true
-					break
-				}
-				if err = s.backend.Set(req.Key, req.Flags, req.Exptime, req.Value); err == nil {
-					kvproto.WriteStored(w)
-				}
-			case kvproto.OpCas:
-				if len(req.Value) > maxItem {
-					kvproto.WriteServerError(w, "object too large")
-					s.m.setsRejected.Inc()
-					rejected = true
-					break
-				}
+			switch op := req.Op; {
+			case rejected:
+				kvproto.WriteServerError(w, "object too large")
+				s.m.setsRejected.Inc()
+			case op == kvproto.OpCas:
 				var st kvproto.CasStatus
 				switch st, err = s.backend.Cas(req.Key, req.Flags, req.Exptime, req.Cas, req.Value); {
 				case err != nil:
@@ -507,7 +604,7 @@ func (s *Server) handle(conn net.Conn) {
 				default:
 					kvproto.WriteNotFound(w)
 				}
-			case kvproto.OpDelete:
+			case op == kvproto.OpDelete:
 				var found bool
 				switch found, err = s.backend.Delete(req.Key); {
 				case err != nil:
@@ -516,18 +613,18 @@ func (s *Server) handle(conn net.Conn) {
 				default:
 					kvproto.WriteNotFound(w)
 				}
-			case kvproto.OpStats:
+			case op == kvproto.OpStats:
 				kvproto.WriteStat(w, "uptime_seconds", uint64(s.uptime().Seconds()))
 				s.backend.WriteStats(w)
 				kvproto.WriteEnd(w)
-			case kvproto.OpNoop:
+			case op == kvproto.OpNoop:
 				kvproto.WriteNoop(w)
-			case kvproto.OpFlushAll:
+			case op == kvproto.OpFlushAll:
 				if err = s.backend.FlushAll(); err == nil {
 					s.m.flushes.Inc()
 					kvproto.WriteOk(w)
 				}
-			case kvproto.OpQuit:
+			case op == kvproto.OpQuit:
 				w.Flush()
 				return
 			default:
