@@ -291,18 +291,20 @@ func TestKvrouterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestKvrouterChaosEndToEnd runs a small fixed-seed partition drill:
-// 3 in-process nodes behind a router, one killed mid-soak and later
-// restarted. The binary checks the invariants (ejection fires, surviving
-// keyspace stays available, no ambiguous-write replays, unacked tallies
-// reconcile) itself and exits nonzero on violation.
+// TestKvrouterChaosEndToEnd runs a small fixed-seed partition drill
+// through kvchaos's router topology: 3 in-process nodes behind a router,
+// one killed mid-soak and later restarted. The binary checks the
+// invariants (ejection fires, surviving keyspace stays available, no
+// ambiguous-write replays, unacked tallies reconcile) itself and exits
+// nonzero on violation.
 func TestKvrouterChaosEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
 	}
-	bin := buildCmd(t, "kvrouterchaos")
-	out := runCmd(t, bin, "-seed", "3", "-clients", "2", "-ops", "400", "-keys", "64")
-	if !strings.Contains(out, "kvrouterchaos: PASS") {
+	bin := buildCmd(t, "kvchaos")
+	out := runCmd(t, bin, "-topology", "router", "-seed", "3", "-clients", "2", "-ops", "400", "-keys", "64",
+		"-accept-error-rate", "0.1")
+	if !strings.Contains(out, "kvchaos: PASS") {
 		t.Fatalf("partition drill did not pass:\n%s", out)
 	}
 	for _, want := range []string{"dead-keyspace failures", "ejections: "} {
@@ -315,27 +317,31 @@ func TestKvrouterChaosEndToEnd(t *testing.T) {
 // TestKvrouterChaosReplicatedEndToEnd runs the same drill under the
 // -replicas 2 contract: the outage becomes a partition the replica must
 // absorb (zero failed ops), the healed node must be flushed before
-// reintegration, and — the regression half — disabling that flush with
-// -no-reintegrate-flush must make the gate fail with a stale-read
-// violation, proving the drill actually detects what the flush prevents.
+// reintegration, and a small cas ledger survives a mid-ledger partition
+// of its counter's primary with no increment double-applied. The
+// regression half: disabling the flush with -no-reintegrate-flush must
+// make the gate fail with a stale-read violation, proving the drill
+// actually detects what the flush prevents.
 func TestKvrouterChaosReplicatedEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
 	}
-	bin := buildCmd(t, "kvrouterchaos")
+	bin := buildCmd(t, "kvchaos")
+	args := []string{"-topology", "router", "-seed", "3", "-clients", "2", "-ops", "400", "-keys", "64",
+		"-accept-error-rate", "0.1", "-replicas", "2", "-cas-workers", "2", "-cas-increments", "50"}
 
-	out := runCmd(t, bin, "-seed", "3", "-clients", "2", "-ops", "400", "-keys", "64", "-replicas", "2")
-	if !strings.Contains(out, "kvrouterchaos: PASS") {
+	out := runCmd(t, bin, args...)
+	if !strings.Contains(out, "kvchaos: PASS") {
 		t.Fatalf("replicated drill did not pass:\n%s", out)
 	}
-	for _, want := range []string{"0 dead-keyspace failures", "failover reads", "reintegration flushes"} {
+	for _, want := range []string{"0 dead-keyspace failures", "failover reads", "reintegration flushes",
+		"partitioning the counter's primary", "cas ledger: 2 workers x 50 increments, 100 swaps acknowledged STORED"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("replicated summary missing %q:\n%s", want, out)
 		}
 	}
 
-	cmd := exec.Command(bin, "-seed", "3", "-clients", "2", "-ops", "400", "-keys", "64",
-		"-replicas", "2", "-no-reintegrate-flush")
+	cmd := exec.Command(bin, append(args, "-no-reintegrate-flush")...)
 	tripOut, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("drill passed with flush-on-reintegrate disabled — the gate cannot detect stale reintegration:\n%s", tripOut)

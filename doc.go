@@ -70,15 +70,15 @@
 //   - cmd/kvrouter — consistent-hash routing proxy over a fleet of
 //     adaptcached nodes: one kvproto endpoint, scatter-gather multigets,
 //     health ejection and reintegration, -replicas 2 failover.
-//   - cmd/kvchaos — seeded single-node chaos soak (fault-injecting
-//     listener and proxy, verifying clients) plus the post-soak cas
-//     ledger (concurrent gets/cas increments must balance exactly);
-//     race-enabled CI gate.
-//   - cmd/kvrouterchaos — seeded partition drill for the routing tier:
-//     kill and restart a node mid-soak, assert ejection, surviving
-//     -keyspace availability, reintegration, and no ambiguous-write
-//     replays; -replicas 2 partitions instead and demands zero failed
-//     ops plus a flush before reintegration; race-enabled CI gate.
+//   - cmd/kvchaos — seeded chaos drill, one verifying client over two
+//     topologies plus the post-soak cas ledger (concurrent gets/cas
+//     increments must balance). -topology node soaks one server behind
+//     a fault-injecting listener and proxy; -topology router kills and
+//     restarts a node behind a router mid-soak, asserting ejection,
+//     surviving-keyspace availability, reintegration, and no
+//     ambiguous-write replays, and with -replicas 2 partitions instead,
+//     demanding zero failed ops plus a flush before reintegration;
+//     race-enabled CI gates.
 //
 // Runnable examples live in examples/.
 package repro

@@ -1,5 +1,5 @@
-// Package chaosledger is the verifying-client core shared by the chaos
-// drills (cmd/kvchaos, cmd/kvrouterchaos): a seeded draw stream, a
+// Package chaosledger is the verifying-client core of the chaos drill
+// (cmd/kvchaos, both topologies): a seeded draw stream, a
 // self-checking value codec, and the per-key write history that decides
 // whether a value a get returned is legal. Every key has exactly one
 // writer, so its history — the newest acknowledged version, the

@@ -2,8 +2,9 @@
 // seeded fault injection: transient accept failures, connection resets,
 // added latency, partial reads/writes, and byte stalls. It exists so the
 // serving stack's robustness claims can be exercised by tests and by the
-// cmd/kvchaos soak driver instead of waiting for production to exercise
-// them first.
+// cmd/kvchaos drill (accept faults on every node in both topologies,
+// the proxy in front of the node topology's server) instead of waiting
+// for production to exercise them first.
 //
 // Determinism: every fault decision is drawn from a splitmix64 stream
 // seeded by Config.Seed (each accepted connection derives its own

@@ -11,7 +11,8 @@ import (
 // target address, injecting Config's connection faults on the
 // client-facing side. Putting it between a server and its clients
 // perturbs the wire (resets, stalls, partial segments, latency) without
-// touching either endpoint — the topology cmd/kvchaos soaks.
+// touching either endpoint — the topology cmd/kvchaos -topology node
+// soaks.
 type Proxy struct {
 	ln     net.Listener
 	target string

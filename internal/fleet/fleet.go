@@ -2,9 +2,9 @@
 // drivers, gates, and tests: each node is a real kvserver on a loopback
 // listener, optionally behind faultnet accept-fault wrapping and a
 // faultnet proxy, with kill/restart that keeps the node's address
-// stable across the outage. cmd/kvchaos (single node under fault
-// injection) and cmd/kvrouterchaos (a routed 3-node partition drill)
-// share this harness instead of each growing its own bring-up.
+// stable across the outage. Both topologies of cmd/kvchaos (a single
+// node under fault injection, a routed fleet through a kill or
+// partition) come up through this harness.
 //
 // Restart deliberately starts a fresh, empty cache: a cache node that
 // lost its memory is the easy failure mode (misses are always legal),

@@ -9,6 +9,7 @@ package kvcluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -232,5 +233,52 @@ func TestRouterSetRunReplicaLegDies(t *testing.T) {
 		if !strings.Contains(expo.String(), line) {
 			t.Errorf("exposition lacks %q", line)
 		}
+	}
+}
+
+// TestClusterCleanSyncFailureMayLandOnReplica pins the set-run caveat
+// of DESIGN §13: a set's replica copy rides the scatter beside its sync
+// copy, so a set whose sync copy fails cleanly may still land on the
+// replica. The primary is partitioned but, with a high FailThreshold,
+// not yet ejected, so it stays the sync owner and its dials fail before
+// anything is sent. Cas and delete wait for the sync owner's answer
+// before copying, so under the same condition they leave the replica
+// untouched.
+func TestClusterCleanSyncFailureMayLandOnReplica(t *testing.T) {
+	f, cl := replicatedCluster(t, 2, func(c *Config) { c.FailThreshold = 1000 })
+	key := keyWithPrimary(t, cl, 0)
+	f.Nodes[0].Partition() // before any op: no pooled connection to sever
+
+	err := cl.Set(key, 0, 0, []byte("landed"))
+	if err == nil || errors.Is(err, kvproto.ErrUnacked) {
+		t.Fatalf("Set with the partitioned sync owner = %v, want a clean failure", err)
+	}
+	if cl.Ejected(0) {
+		t.Fatal("primary ejected: the sync owner moved and the test shows nothing")
+	}
+	replica := f.Nodes[1].Addr()
+	if v, ok := directGet(t, replica, key); !ok || v != "landed" {
+		t.Fatalf("replica holds (%q, %v) after the failed set, want its copy \"landed\"", v, ok)
+	}
+
+	// A unique the replica would accept, so only the routing keeps the
+	// cas off it.
+	c, err := kvproto.DialTimeout(replica, 2*time.Second, 5*time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, id, ok, err := c.Gets(key)
+	c.Close()
+	if err != nil || !ok {
+		t.Fatalf("direct gets on the replica: ok=%v err=%v", ok, err)
+	}
+	if _, err := cl.Cas(key, 0, 0, id, []byte("swapped")); err == nil || errors.Is(err, kvproto.ErrUnacked) {
+		t.Fatalf("Cas with the partitioned sync owner = %v, want a clean failure", err)
+	}
+	if _, err := cl.Delete(key); err == nil || errors.Is(err, kvproto.ErrUnacked) {
+		t.Fatalf("Delete with the partitioned sync owner = %v, want a clean failure", err)
+	}
+	if v, ok := directGet(t, replica, key); !ok || v != "landed" {
+		t.Fatalf("replica holds (%q, %v) after the failed cas and delete, want \"landed\" untouched", v, ok)
 	}
 }

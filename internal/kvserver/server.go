@@ -235,9 +235,11 @@ func (c *connIO) Write(p []byte) (int, error) {
 			return 0, err
 		}
 	}
+	// Count the write before the syscall: a client can read the whole
+	// reply the moment it lands, and must then see the counter moved.
+	c.s.m.netWrites.Inc()
 	n, err := c.conn.Write(p)
 	c.s.m.bytesOut.Add(uint64(n))
-	c.s.m.netWrites.Inc()
 	return n, err
 }
 
@@ -249,10 +251,10 @@ func (c *connIO) WriteBuffers(bufs *net.Buffers) error {
 			return err
 		}
 	}
-	n, err := bufs.WriteTo(c.conn)
-	c.s.m.bytesOut.Add(uint64(n))
 	c.s.m.netWrites.Inc()
 	c.s.m.vectoredWrites.Inc()
+	n, err := bufs.WriteTo(c.conn)
+	c.s.m.bytesOut.Add(uint64(n))
 	return err
 }
 

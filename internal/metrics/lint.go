@@ -3,8 +3,9 @@ package metrics
 // Exposition linting. Lint is exported (rather than living in a _test
 // file) because every layer that serves or scrapes the exposition —
 // kvserver's /metrics tests, adaptcached's handler test, cmd/kvchaos's
-// metric-invariant gate — validates the same contract: parseable
-// Prometheus text, declared types, and internally consistent histograms.
+// node-topology metric-invariant gate — validates the same contract:
+// parseable Prometheus text, declared types, and internally consistent
+// histograms.
 
 import (
 	"fmt"
