@@ -179,6 +179,10 @@ type Cluster struct {
 
 	scatters sync.Pool // *scatter, reused across MultiGet calls
 
+	// writeLocks serialize a replicated cas or delete with its replica
+	// copies, per key stripe (write).
+	writeLocks [64]sync.Mutex
+
 	startOnce sync.Once
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -272,7 +276,7 @@ func (cl *Cluster) Close() {
 		for {
 			select {
 			case c := <-p.free:
-				c.Close()
+				c.rc.Close()
 			default:
 			}
 			if len(p.free) == 0 {
@@ -422,17 +426,22 @@ func nodeDown(p *nodePool) error { return fmt.Errorf("%w: %s", ErrNodeDown, p.ad
 // call runs fn on a client checked out of p's pool: it times the round
 // trip into the node's RTT histogram, returns the client, and feeds the
 // outcome to node health. It is the only place an operation touches a
-// pool. A checkout refused because the node is ejected returns the bare
+// pool. A client idle longer than idleRedial re-dials before fn runs,
+// reusing the clock read that starts the RTT. A checkout refused because the node is ejected returns the bare
 // ErrNodeDown without running fn or touching health.
 func (cl *Cluster) call(p *nodePool, fn func(*kvproto.ReconnectClient) error) error {
-	c, err := p.get()
+	pc, err := p.get()
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	err = fn(c)
-	cl.m.nodeRTT[p.idx].Record(time.Since(start))
-	p.put(c)
+	if start.Sub(pc.last) > idleRedial {
+		pc.rc.Close() // the node may have reaped it; the op re-dials
+	}
+	err = fn(pc.rc)
+	pc.last = time.Now()
+	cl.m.nodeRTT[p.idx].Record(pc.last.Sub(start))
+	p.put(pc)
 	cl.observe(p, err)
 	return err
 }
@@ -493,10 +502,22 @@ func (cl *Cluster) read(ix int, key []byte, fn func(*kvproto.ReconnectClient) er
 // flushes close the stale window — and an ambiguous replica write is
 // additionally tallied so unacked reconciliation can subtract writes
 // that never gated a client ack.
+//
+// With replicas, the key's stripe lock is held from the sync write to
+// the last copy, so a copy lands before the next cas or delete of that
+// key is sent anywhere. Otherwise a copy still on its way when the
+// primary is ejected could overwrite a cas the replica has since
+// acknowledged — a worker that read the replica's older value wins
+// there — and the increment would vanish with no failed copy counted.
 func (cl *Cluster) write(ix int, key []byte, do func(*kvproto.ReconnectClient) error, replicateIf func() bool, replica func(*kvproto.ReconnectClient) error) error {
 	cl.m.routed[ix].Inc()
 	var ownBuf [8]int
 	owners := cl.ownersFor(ownBuf[:0], key)
+	if len(owners) > 1 {
+		mu := &cl.writeLocks[fnv1a(cl.cfg.Seed, key)%uint64(len(cl.writeLocks))]
+		mu.Lock()
+		defer mu.Unlock()
+	}
 	sync := cl.syncOwner(owners)
 	if sync < 0 {
 		cl.m.failed[ix].Inc()

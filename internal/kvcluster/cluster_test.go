@@ -3,6 +3,8 @@ package kvcluster
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -420,5 +422,84 @@ func TestProbePhaseDecorrelated(t *testing.T) {
 	}
 	if probePhase(7, 0) != 0 {
 		t.Fatal("probePhase with zero interval should be 0")
+	}
+}
+
+// TestClusterCasCopyLandsBeforeTheNextCas: at R=2 a winning cas is
+// copied to the replica after the primary acks it. If the primary is
+// ejected while that copy is still on its way, a worker that reads the
+// replica's older value must not win a cas there until the copy has
+// landed: otherwise the copy then overwrites the worker's swap, and an
+// acknowledged increment vanishes with no failed copy counted.
+func TestClusterCasCopyLandsBeforeTheNextCas(t *testing.T) {
+	var held atomic.Bool
+	f, err := fleet.Start(2, func(i int) fleet.NodeConfig {
+		nc := nodeConfig()
+		if i == 1 {
+			// Hold up the replica's copy of the first increment.
+			nc.Server.FaultHook = func(req *kvproto.Request) {
+				if req.Op == kvproto.OpSet && string(req.Value) == "1" && held.CompareAndSwap(false, true) {
+					time.Sleep(300 * time.Millisecond)
+				}
+			}
+		}
+		return nc
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	cl, err := New(Config{Nodes: f.Addrs(), Seed: 42, PoolSize: 2, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	key := keyWithPrimary(t, cl, 0)
+	if err := cl.Set(key, 0, 0, []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+	increment := func() (kvproto.CasStatus, error) {
+		v, _, id, ok, err := cl.Gets(key)
+		if err != nil || !ok {
+			return 0, fmt.Errorf("gets: ok=%v err=%v", ok, err)
+		}
+		n, _ := strconv.Atoi(string(v))
+		return cl.Cas(key, 0, 0, id, []byte(strconv.Itoa(n+1)))
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		st, err := increment()
+		if err == nil && st != kvproto.CasStored {
+			err = fmt.Errorf("first cas answered %v", st)
+		}
+		first <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _ := directGet(t, f.Nodes[0].Addr(), key); v == "1" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the primary never applied the first cas")
+		}
+	}
+	for i := 0; i < DefaultFailThreshold; i++ {
+		cl.pools[0].noteFailure()
+	}
+	// The replica now answers, possibly still holding "0".
+	st, err := increment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	acked := 1
+	if st == kvproto.CasStored {
+		acked++
+	}
+	if v, _ := directGet(t, f.Nodes[1].Addr(), key); v != strconv.Itoa(acked) {
+		t.Fatalf("replica holds %q after %d acknowledged increments (%d replica copies counted failed)",
+			v, acked, cl.ReplicaWriteFailures())
 	}
 }

@@ -2,6 +2,7 @@ package kvcluster
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/kvproto"
 	"repro/internal/metrics"
@@ -27,6 +28,20 @@ func (nodeDownError) NodeDown() bool { return true }
 // intervals to a genuinely dead peer.
 const DefaultFailThreshold = 3
 
+// idleRedial is how long a pooled connection may sit unused before its
+// next checkout re-dials it. A node reaps a connection idle past its
+// ReadTimeout, and a write sent on a reaped connection comes back
+// ambiguous — a few of those in a row would eject a healthy node — so a
+// node's ReadTimeout must exceed this bound. A variable so tests can
+// shorten it.
+var idleRedial = time.Second
+
+// pooledConn is one pooled client and when its last round trip ended.
+type pooledConn struct {
+	rc   *kvproto.ReconnectClient
+	last time.Time
+}
+
 // nodePool owns one backend node's client connections and health state.
 // Clients are kvproto.ReconnectClients (lazy dial, capped-backoff redial,
 // never-replay-ambiguous-writes), kept in a buffered channel: checkout
@@ -35,7 +50,7 @@ const DefaultFailThreshold = 3
 type nodePool struct {
 	addr string
 	idx  int
-	free chan *kvproto.ReconnectClient
+	free chan *pooledConn
 
 	// ejected flips under mu-free atomics: the serving path only loads
 	// it, the probe/failure paths CAS it, and the gauge/counter updates
@@ -52,13 +67,13 @@ func newNodePool(addr string, idx, size int, threshold int32, up *metrics.Gauge,
 	p := &nodePool{
 		addr:      addr,
 		idx:       idx,
-		free:      make(chan *kvproto.ReconnectClient, size),
+		free:      make(chan *pooledConn, size),
 		threshold: threshold,
 		up:        up,
 		ejections: ejections,
 	}
 	for i := 0; i < size; i++ {
-		p.free <- mk()
+		p.free <- &pooledConn{rc: mk()}
 	}
 	if up != nil {
 		up.Set(1)
@@ -75,7 +90,7 @@ func newNodePool(addr string, idx, size int, threshold int32, up *metrics.Gauge,
 // was ejected would otherwise check out a client and burn a full
 // operation timeout against a peer already known dead. The client goes
 // straight back so the pool never leaks capacity on the fail-fast path.
-func (p *nodePool) get() (*kvproto.ReconnectClient, error) {
+func (p *nodePool) get() (*pooledConn, error) {
 	if p.ejected.Load() {
 		return nil, ErrNodeDown
 	}
@@ -88,7 +103,7 @@ func (p *nodePool) get() (*kvproto.ReconnectClient, error) {
 }
 
 // put returns a checked-out client.
-func (p *nodePool) put(c *kvproto.ReconnectClient) { p.free <- c }
+func (p *nodePool) put(c *pooledConn) { p.free <- c }
 
 // noteSuccess records a successful round trip: the consecutive-failure
 // run is over, and an ejected node that answered (the prober's probe)

@@ -2,10 +2,12 @@ package kvcluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/kvproto"
 	"repro/internal/metrics"
 )
@@ -109,7 +111,7 @@ func TestPoolBlockedWaiterFailsFastOnEjection(t *testing.T) {
 	})
 
 	// Drain the pool so the next get() blocks on the channel.
-	held := make([]*kvproto.ReconnectClient, 0, size)
+	held := make([]*pooledConn, 0, size)
 	for i := 0; i < size; i++ {
 		c, err := p.get()
 		if err != nil {
@@ -119,7 +121,7 @@ func TestPoolBlockedWaiterFailsFastOnEjection(t *testing.T) {
 	}
 
 	type result struct {
-		c   *kvproto.ReconnectClient
+		c   *pooledConn
 		err error
 	}
 	got := make(chan result, 1)
@@ -154,5 +156,64 @@ func TestPoolBlockedWaiterFailsFastOnEjection(t *testing.T) {
 	p.put(held[1])
 	if free := len(p.free); free != size {
 		t.Fatalf("pool holds %d free clients after returns, want %d", free, size)
+	}
+}
+
+// TestPoolIdleConnectionRedials: a warm pool left idle past its node's
+// read deadline has every connection reaped by the node. Writes through
+// it afterwards must re-dial rather than go out on the dead streams,
+// where each would come back ErrUnacked and FailThreshold of them would
+// eject a healthy node (at R=2, flushing acked values on its return).
+func TestPoolIdleConnectionRedials(t *testing.T) {
+	defer func(d time.Duration) { idleRedial = d }(idleRedial)
+	idleRedial = 100 * time.Millisecond
+	f, err := fleet.Start(2, func(int) fleet.NodeConfig {
+		nc := nodeConfig()
+		nc.Server.ReadTimeout = 200 * time.Millisecond
+		return nc
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	cl, err := New(Config{Nodes: f.Addrs(), Seed: 42, PoolSize: 4, FailThreshold: 3, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	set := func(i int) error {
+		return cl.Set([]byte(fmt.Sprintf("idle%d", i%16)), 0, 0, []byte("v"))
+	}
+	// Warm every pooled connection on both nodes: concurrent sets check
+	// out distinct clients.
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := set(i); err != nil {
+				t.Errorf("warm set %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	time.Sleep(500 * time.Millisecond) // past the nodes' 200ms read deadline
+
+	for i := 0; i < 16; i++ {
+		if err := set(i); err != nil {
+			t.Fatalf("set %d after the idle pause: %v", i, err)
+		}
+	}
+	if n := cl.BackendCounters().Unacked.Load(); n != 0 {
+		t.Errorf("%d backend writes came back ambiguous after the idle pause, want 0", n)
+	}
+	for i := range f.Nodes {
+		if cl.Ejected(i) || cl.Ejections(i) != 0 {
+			t.Errorf("healthy node %d ejected by the idle pause (%d ejections)", i, cl.Ejections(i))
+		}
+	}
+	if n := cl.ReplicaWriteFailures(); n != 0 {
+		t.Errorf("%d replica copies failed after the idle pause, want 0", n)
 	}
 }
