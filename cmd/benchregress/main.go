@@ -1,66 +1,51 @@
-// Command benchregress is the perf-regression harness for the simulator's
-// hot path. It measures the two access loops everything else is built on —
-// a plain LRU probe-and-fill (Cache.AccessTag) and a full adaptive access
-// (real array + two shadow arrays + history) — the adaptivekv get/set
-// paths, and the metrics histogram record primitive every kvserver latency
-// observation runs through — plus, optionally, the wall clock of the
-// ExtendedSet macro sweep, and writes the results to a JSON file:
+// Command benchregress holds the in-process micro gates for the hot paths
+// everything else is built on: a plain LRU probe-and-fill
+// (Cache.AccessTag), a full adaptive access (real array + two shadow
+// arrays + history), the adaptivekv get/set/cas paths, and the metrics
+// histogram record primitive every kvserver latency observation runs
+// through — plus, optionally, the wall clock of the ExtendedSet macro
+// sweep. It writes the results to a JSON file:
 //
 //	benchregress                        # measure, write BENCH_hotpath.json
 //	benchregress -macro-n 0             # hot-path loops only (fast)
 //	benchregress -check                 # re-measure, compare, exit 1 on regression
 //
-// Each hot-path entry records accesses/sec, ns/access, allocs/access,
-// wall clock, and the GOMAXPROCS the row was pinned to. allocs/access
-// must be 0 on the serial fast paths: the adaptive path was made
-// allocation-free, and any nonzero value here is a regression regardless
-// of timing noise. -check compares ns/access against the committed file
-// with a configurable tolerance so CI can catch slowdowns without
-// flaking on machine jitter, and refuses outright to compare rows
-// measured at different parallelism — a p1 baseline against a p8 fresh
-// run is provenance corruption, not a regression signal.
+// It links no server, protocol or cluster code. Numbers for the serving
+// stack come from cmd/kvbench, the benchmark of record, which verifies
+// every reply and records the hardware each run was measured on.
 //
-// Multi-core rows extend the harness beyond serial loops:
+// Each row records accesses/sec, ns/access, allocs/access, wall clock,
+// and the GOMAXPROCS the row was pinned to. allocs/access must be 0 on
+// the serial rows: the adaptive path was made allocation-free, and any
+// nonzero value there is a regression regardless of timing noise. -check
+// compares ns/access against the committed file with a configurable
+// tolerance so CI can catch slowdowns without flaking on machine jitter,
+// and refuses outright to compare rows measured at different parallelism
+// — a p1 baseline against a p8 fresh run is provenance corruption, not a
+// regression signal.
 //
-//   - kv/Get/contended/{locked,optimistic}/p{1,2,4,8} hammer a single
-//     hot shard from N goroutines with GOMAXPROCS pinned to N, with the
-//     cache in StrictOrder (every Get takes the shard lock) versus the
-//     default optimistic seqlock read path. The p8 pair carries the
-//     scaling gate: optimistic throughput must be >= minScalingRatio x
-//     the locked path at the same parallelism.
-//   - kv/Cas/contended/p8 runs gets/cas read-modify-write loops against
-//     a single hot shard from 8 goroutines: every CompareAndSwap takes
-//     the shard lock, so the row records what contended atomic RMW costs
-//     next to the optimistic plain-read rows. Scaling class: recorded
-//     for the curve, exempt from the serial ns gate, and compare()
-//     skips it against baselines written before the row existed.
-//   - kvserver/loopback/multiget/p4 drives a real server over loopback
-//     TCP with pipelined multi-key gets from 4 client goroutines — the
-//     end-to-end number the per-layer optimizations have to add up to.
-//   - kvrouter/loopback/3node/multiget sends the same client load
-//     through a kvcluster Router fronting 3 in-process nodes, with the
-//     batch tripled so each node still sees ~16 keys per scatter leg.
-//     On hardware with >= 8 CPUs the router must at least match the
-//     single-node row (it has 3 nodes' worth of cache behind it); on
-//     smaller machines every tier timeshares the same cores, the fanout
-//     goroutines are pure overhead, and the ratio is reported for the
-//     record but not gated — same reasoning as the contended scaling
-//     floor below.
-//   - kvrouter/loopback/3node/replicated repeats the router row with
-//     -replicas 2, recording what R=2 redundancy costs on the healthy
-//     read path; reported for the curve, never gated.
+// The contended rows hammer a single hot shard from p goroutines with
+// GOMAXPROCS pinned to p, for each p in {1, 2, 4, 8} up to the host's CPU
+// count; a row the host cannot run is skipped, never written:
 //
-// Contended and loopback rows are recorded for the scaling curve but
-// exempt from the serial ns-vs-baseline and zero-alloc gates (goroutine
-// startup and the network stack allocate; cross-machine parallel timing
-// is not comparable at CI tolerances).
+//   - kv/Get/contended/{locked,optimistic}/pN: StrictOrder (every Get
+//     takes the shard lock) versus the default optimistic seqlock read
+//     path. Where both p8 rows are measured, optimistic throughput must
+//     be >= minScalingRatio x the locked path.
+//   - kv/Cas/contended/pN: gets/cas read-modify-write loops. Every
+//     CompareAndSwap takes the shard lock, so the row records what
+//     contended atomic RMW costs next to the plain-read rows.
+//
+// Contended rows are recorded for the scaling curve but exempt from the
+// serial ns-vs-baseline and zero-alloc gates (starting goroutines
+// allocates, and cross-machine parallel timing is not comparable at CI
+// tolerances).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -69,10 +54,6 @@ import (
 	"repro/adaptivekv"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/kvcluster"
-	"repro/internal/kvproto"
-	"repro/internal/kvserver"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -80,9 +61,8 @@ import (
 
 // Gate classes: which -check gates apply to a row.
 const (
-	gateSerial     = ""           // ns-vs-baseline + zero-alloc (default)
-	gateScaling    = "scaling"    // contended rows: scaling ratio only
-	gateThroughput = "throughput" // loopback row: recorded, not gated
+	gateSerial  = ""        // ns-vs-baseline + zero-alloc (default)
+	gateScaling = "scaling" // contended rows: scaling ratio only
 )
 
 // minScalingRatio is the acceptance floor: optimistic contended Get at
@@ -91,9 +71,7 @@ const (
 const minScalingRatio = 3.0
 
 // Entry is one measured hot-path loop. Parallelism is the GOMAXPROCS
-// the row was pinned to while measuring (1 for the serial loops);
-// entries from pre-provenance baselines decode as 0 and are treated as
-// parallelism 1.
+// the row was pinned to while measuring (1 for the serial loops).
 type Entry struct {
 	Name            string  `json:"name"`
 	Accesses        uint64  `json:"accesses"`
@@ -111,8 +89,6 @@ type Macro struct {
 	InstrsPerRun uint64  `json:"instrs_per_run"`
 	WallNS       int64   `json:"wall_ns"`
 	Seconds      float64 `json:"seconds"`
-	SeedWallNS   int64   `json:"seed_wall_ns,omitempty"`
-	Speedup      float64 `json:"speedup_vs_seed,omitempty"`
 }
 
 // Report is the file format of BENCH_hotpath.json. GoMaxProcs is the
@@ -135,16 +111,15 @@ func main() {
 		out    = flag.String("out", "BENCH_hotpath.json", "result file")
 		check  = flag.Bool("check", false, "compare a fresh measurement against -out instead of overwriting it")
 		tol    = flag.Float64("tolerance", 0.30, "allowed fractional ns/access slowdown in -check mode")
-		seedNS = flag.Int64("seed-macro-ns", 33_270_000_000, "pre-optimization ExtendedSet wall clock, for the recorded speedup (0 = omit)")
 	)
 	flag.Parse()
-	if err := realMain(*n, *macroN, *out, *check, *tol, *seedNS); err != nil {
+	if err := realMain(*n, *macroN, *out, *check, *tol); err != nil {
 		fmt.Fprintln(os.Stderr, "benchregress:", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(n, macroN uint64, out string, check bool, tol float64, seedNS int64) error {
+func realMain(n, macroN uint64, out string, check bool, tol float64) error {
 	if n == 0 {
 		return fmt.Errorf("-n must be > 0")
 	}
@@ -157,21 +132,21 @@ func realMain(n, macroN uint64, out string, check bool, tol float64, seedNS int6
 		HotPath:    []Entry{measureLRU(n), measureAdaptive(n), measureKVGet(n), measureKVGetTTL(n), measureKVSet(n), measureHistogram(n)},
 	}
 	for _, procs := range []int{1, 2, 4, 8} {
+		if procs > rep.NumCPU {
+			fmt.Printf("%-36s skipped: needs %d CPUs, host has %d\n",
+				fmt.Sprintf("kv/*/contended/*/p%d", procs), procs, rep.NumCPU)
+			continue
+		}
 		rep.HotPath = append(rep.HotPath,
 			measureContended(n, procs, true),
-			measureContended(n, procs, false))
+			measureContended(n, procs, false),
+			measureContendedCas(n, procs))
 	}
-	rep.HotPath = append(rep.HotPath, measureContendedCas(n, 8))
-	rep.HotPath = append(rep.HotPath, measureLoopback(n),
-		measureRouterLoopback(n, 1), measureRouterLoopback(n, 2))
 	for _, e := range rep.HotPath {
 		fmt.Printf("%-36s %12.0f acc/s %8.2f ns/acc %8.3f allocs/acc  p%d\n",
 			e.Name, e.AccessesPerSec, e.NSPerAccess, e.AllocsPerAccess, e.Parallelism)
 	}
-	if err := checkScaling(rep.HotPath); err != nil {
-		return err
-	}
-	if err := checkRouterFloor(rep.HotPath); err != nil {
+	if err := checkScaling(rep.HotPath, rep.NumCPU); err != nil {
 		return err
 	}
 
@@ -180,13 +155,9 @@ func realMain(n, macroN uint64, out string, check bool, tol float64, seedNS int6
 	}
 
 	if macroN > 0 {
-		m := measureMacro(macroN, seedNS)
+		m := measureMacro(macroN)
 		rep.Macro = &m
-		fmt.Printf("%-28s %12.2f s", m.Name, m.Seconds)
-		if m.Speedup > 0 {
-			fmt.Printf("  (%.2fx vs seed)", m.Speedup)
-		}
-		fmt.Println()
+		fmt.Printf("%-28s %12.2f s\n", m.Name, m.Seconds)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -201,62 +172,77 @@ func realMain(n, macroN uint64, out string, check bool, tol float64, seedNS int6
 	return nil
 }
 
-// measure times fn over n iterations after a warmup pass that brings the
-// caches to steady state, so the allocation count reflects the sustained
-// hot path rather than one-time table fills. Serial rows are pinned to
-// GOMAXPROCS=1 for the duration so the recorded parallelism is the
-// measured one, whatever the ambient setting.
-func measure(name string, n uint64, warmup uint64, fn func(rng uint64)) Entry {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// measure times n calls of fn split across procs goroutines, GOMAXPROCS
+// pinned to procs for the duration so the recorded parallelism is the
+// measured one, whatever the ambient setting. A serial warm-up of n/10
+// calls first brings the caches to steady state, so the allocation count
+// reflects the sustained path rather than one-time table fills. Each
+// goroutine feeds fn its own xorshift stream; a one-goroutine row runs
+// on the caller, so it starts no goroutine inside the timed window.
+func measure(name string, n uint64, procs int, gate string, fn func(rng uint64)) Entry {
 	rng := uint64(1)
-	step := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
+	for i := uint64(0); i < n/10; i++ {
+		rng = xorshift(rng)
+		fn(rng)
 	}
-	for i := uint64(0); i < warmup; i++ {
-		fn(step())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	per := n / uint64(procs)
+	run := func(rng uint64) {
+		for i := uint64(0); i < per; i++ {
+			rng = xorshift(rng)
+			fn(rng)
+		}
 	}
-	e := measureOnce(name, n, fn, step)
-	if e.AllocsPerAccess > 0 {
+	e := Entry{Name: name, Accesses: per * uint64(procs), Parallelism: procs, Gate: gate}
+	for pass := 0; pass < 2; pass++ {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		if procs == 1 {
+			run(rng)
+		} else {
+			var wg sync.WaitGroup
+			for g := 0; g < procs; g++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					run(seed)
+				}(rng + uint64(g)*0x9e3779b97f4a7c15)
+			}
+			wg.Wait()
+		}
+		wall := time.Since(start)
+		runtime.ReadMemStats(&after)
+		e.WallNS = wall.Nanoseconds()
+		e.NSPerAccess = float64(e.WallNS) / float64(e.Accesses)
+		e.AccessesPerSec = float64(e.Accesses) / wall.Seconds()
+		e.AllocsPerAccess = float64(after.Mallocs-before.Mallocs) / float64(e.Accesses)
 		// One-shot runtime events (a GC cycle or finalizer wakeup landing
 		// inside the timed window) can charge a stray malloc to an
-		// otherwise allocation-free loop. A genuine per-access allocation
-		// reproduces on every pass, so one clean re-measure separates the
-		// two without loosening the zero-allocation gate.
-		e = measureOnce(name, n, fn, step)
+		// otherwise allocation-free serial loop. A genuine per-access
+		// allocation reproduces on every pass, so one clean re-measure
+		// separates the two without loosening the zero-allocation gate.
+		if procs > 1 || e.AllocsPerAccess == 0 {
+			break
+		}
 	}
 	return e
 }
 
-func measureOnce(name string, n uint64, fn func(rng uint64), step func() uint64) Entry {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := uint64(0); i < n; i++ {
-		fn(step())
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	return Entry{
-		Name:            name,
-		Accesses:        n,
-		WallNS:          wall.Nanoseconds(),
-		NSPerAccess:     float64(wall.Nanoseconds()) / float64(n),
-		AccessesPerSec:  float64(n) / wall.Seconds(),
-		AllocsPerAccess: float64(allocs) / float64(n),
-		Parallelism:     1,
-	}
+// xorshift advances the RNG that picks each row's keys.
+func xorshift(rng uint64) uint64 {
+	rng ^= rng << 13
+	rng ^= rng >> 7
+	rng ^= rng << 17
+	return rng
 }
 
 func measureLRU(n uint64) Entry {
 	g := cache.Geometry{SizeBytes: 512 << 10, LineBytes: 64, Ways: 8}
 	c := cache.New(g, policy.NewLRU())
 	sets := g.Sets()
-	return measure("lru/AccessTag", n, n/10, func(rng uint64) {
+	return measure("lru/AccessTag", n, 1, gateSerial, func(rng uint64) {
 		c.AccessTag(int(rng)&(sets-1), rng>>10, false)
 	})
 }
@@ -265,7 +251,7 @@ func measureAdaptive(n uint64) Entry {
 	g := cache.Geometry{SizeBytes: 512 << 10, LineBytes: 64, Ways: 8}
 	ad := core.NewAdaptive(core.DefaultComponents(), core.WithShadowTagBits(8))
 	c := cache.New(g, ad)
-	return measure("adaptive8/Access", n, n/10, func(rng uint64) {
+	return measure("adaptive8/Access", n, 1, gateSerial, func(rng uint64) {
 		c.Access(cache.Addr(rng%(1<<26)), false)
 	})
 }
@@ -279,7 +265,7 @@ func measureKVGet(n uint64) Entry {
 	for k := uint64(0); k < keys; k++ {
 		c.Set(k, k)
 	}
-	return measure("kv/Get", n, n/10, func(rng uint64) {
+	return measure("kv/Get", n, 1, gateSerial, func(rng uint64) {
 		c.Get(rng % keys)
 	})
 }
@@ -297,7 +283,7 @@ func measureKVGetTTL(n uint64) Entry {
 	for k := uint64(0); k < keys; k++ {
 		c.SetTTL(k, k, deadline)
 	}
-	return measure("kv/Get/ttl", n, n/10, func(rng uint64) {
+	return measure("kv/Get/ttl", n, 1, gateSerial, func(rng uint64) {
 		c.Get(rng % keys)
 	})
 }
@@ -306,31 +292,34 @@ func measureKVGetTTL(n uint64) Entry {
 // cache's capacity, so most iterations run the full adaptive victim path.
 func measureKVSet(n uint64) Entry {
 	c := adaptivekv.New[uint64, uint64](adaptivekv.Config{})
-	return measure("kv/Set", n, n/10, func(rng uint64) {
+	return measure("kv/Set", n, 1, gateSerial, func(rng uint64) {
 		c.Set(rng%100_000, rng)
 	})
 }
 
-// xorshift advances the per-goroutine RNG used by the parallel rows.
-func xorshift(rng uint64) uint64 {
-	rng ^= rng << 13
-	rng ^= rng >> 7
-	rng ^= rng << 17
-	return rng
+// measureHistogram times metrics.Histogram.RecordNS — the primitive every
+// per-op latency observation in kvserver funnels through, sitting inside
+// the request loop itself. Its contract is zero allocations per record;
+// compare() fails outright on any nonzero allocs/access, so wiring a
+// heap-allocating observation path can never land silently.
+func measureHistogram(n uint64) Entry {
+	h := new(metrics.Histogram)
+	return measure("metrics/Record", n, 1, gateSerial, func(rng uint64) {
+		h.RecordNS(int64(rng % 50_000_000)) // spread over ~21 octaves of buckets
+	})
 }
 
-// measureContended hammers a single hot shard from procs goroutines with
-// GOMAXPROCS pinned to procs. strict=true forces every Get through the
-// shard mutex (the pre-optimization path, kept honest via StrictOrder);
-// strict=false takes the optimistic seqlock read path. One shard is the
-// worst case on purpose: with the default 16 shards, lock contention
-// dilutes and the comparison flatters the locked path.
+// measureContended hammers a single hot shard from procs goroutines.
+// strict=true forces every Get through the shard mutex (the
+// pre-optimization path, kept honest via StrictOrder); strict=false takes
+// the optimistic seqlock read path. One shard is the worst case on
+// purpose: with the default 16 shards, lock contention dilutes and the
+// comparison flatters the locked path.
 func measureContended(n uint64, procs int, strict bool) Entry {
 	mode := "optimistic"
 	if strict {
 		mode = "locked"
 	}
-	name := fmt.Sprintf("kv/Get/contended/%s/p%d", mode, procs)
 	c := adaptivekv.New[uint64, uint64](adaptivekv.Config{
 		Shards: 1, Sets: 1024, Ways: 4, StrictOrder: strict,
 	})
@@ -338,55 +327,18 @@ func measureContended(n uint64, procs int, strict bool) Entry {
 	for k := uint64(0); k < keys; k++ {
 		c.Set(k, k)
 	}
-	for i, rng := uint64(0), uint64(1); i < n/10; i++ { // warm serially
-		rng = xorshift(rng)
+	return measure(fmt.Sprintf("kv/Get/contended/%s/p%d", mode, procs), n, procs, gateScaling, func(rng uint64) {
 		c.Get(rng % keys)
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	per := n / uint64(procs)
-	total := per * uint64(procs)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < procs; g++ {
-		wg.Add(1)
-		go func(rng uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				rng = xorshift(rng)
-				c.Get(rng % keys)
-			}
-		}(uint64(g)*0x9e3779b97f4a7c15 + 1)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	return Entry{
-		Name:            name,
-		Accesses:        total,
-		WallNS:          wall.Nanoseconds(),
-		NSPerAccess:     float64(wall.Nanoseconds()) / float64(total),
-		AccessesPerSec:  float64(total) / wall.Seconds(),
-		AllocsPerAccess: float64(allocs) / float64(total),
-		Parallelism:     procs,
-		Gate:            gateScaling,
-	}
+	})
 }
 
 // measureContendedCas hammers gets/cas read-modify-write loops on a
 // single hot shard from procs goroutines: GetCas reads the value with
 // its unique, CompareAndSwap attempts the increment, and conflicts are
 // simply counted as attempts — a benchmark retry loop would measure the
-// conflict rate, not the operation cost. Every CompareAndSwap serializes
-// on the shard lock, so this is the write-side counterpart of the
-// contended Get rows. One access = one RMW attempt (a GetCas plus a
-// CompareAndSwap).
+// conflict rate, not the operation cost. One access = one RMW attempt (a
+// GetCas plus a CompareAndSwap).
 func measureContendedCas(n uint64, procs int) Entry {
-	name := fmt.Sprintf("kv/Cas/contended/p%d", procs)
 	c := adaptivekv.New[uint64, uint64](adaptivekv.Config{
 		Shards: 1, Sets: 1024, Ways: 4,
 	})
@@ -394,212 +346,21 @@ func measureContendedCas(n uint64, procs int) Entry {
 	for k := uint64(0); k < keys; k++ {
 		c.Set(k, 0)
 	}
-	rmw := func(rng uint64) {
+	return measure(fmt.Sprintf("kv/Cas/contended/p%d", procs), n, procs, gateScaling, func(rng uint64) {
 		k := rng % keys
 		if v, id, ok := c.GetCas(k); ok {
 			c.CompareAndSwap(k, v+1, id, 0)
 		}
-	}
-	for i, rng := uint64(0), uint64(1); i < n/10; i++ { // warm serially
-		rng = xorshift(rng)
-		rmw(rng)
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	per := n / uint64(procs)
-	total := per * uint64(procs)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < procs; g++ {
-		wg.Add(1)
-		go func(rng uint64) {
-			defer wg.Done()
-			for i := uint64(0); i < per; i++ {
-				rng = xorshift(rng)
-				rmw(rng)
-			}
-		}(uint64(g)*0x9e3779b97f4a7c15 + 1)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	return Entry{
-		Name:            name,
-		Accesses:        total,
-		WallNS:          wall.Nanoseconds(),
-		NSPerAccess:     float64(wall.Nanoseconds()) / float64(total),
-		AccessesPerSec:  float64(total) / wall.Seconds(),
-		AllocsPerAccess: float64(allocs) / float64(total),
-		Parallelism:     procs,
-		Gate:            gateScaling,
-	}
-}
-
-// loopbackClients is the client-goroutine count (and pinned GOMAXPROCS)
-// for the end-to-end loopback row; loopbackBatch keys ride each multiget.
-const (
-	loopbackClients = 4
-	loopbackBatch   = 16
-)
-
-// driveLoopback runs the shared client load against addr: loopbackClients
-// goroutines, each looping pipelined batch-key multigets over its own
-// pre-stored keyspace, GOMAXPROCS pinned to the client count. Accesses
-// counts keys fetched, not round trips.
-func driveLoopback(name, addr string, batch int, n uint64) Entry {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(loopbackClients))
-	total := n / 8 // network round trips are ~100x slower than cache probes
-	perClient := total / loopbackClients
-	rounds := perClient / uint64(batch)
-	if rounds == 0 {
-		rounds = 1
-	}
-	keysFetched := uint64(loopbackClients) * rounds * uint64(batch)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, loopbackClients)
-	for g := 0; g < loopbackClients; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := kvproto.DialTimeout(addr, 5*time.Second, 30*time.Second, 30*time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			keys := make([][]byte, batch)
-			for i := range keys {
-				keys[i] = []byte(fmt.Sprintf("bench-%d-%d", id, i))
-				if err := c.Set(keys[i], 0, 0, []byte("loopback-value")); err != nil {
-					errs <- err
-					return
-				}
-			}
-			for r := uint64(0); r < rounds; r++ {
-				if err := c.MultiGet(keys, func(int, uint32, []byte) {}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	select {
-	case err := <-errs:
-		panic(fmt.Sprintf("loopback client: %v", err))
-	default:
-	}
-	return Entry{
-		Name:           name,
-		Accesses:       keysFetched,
-		WallNS:         wall.Nanoseconds(),
-		NSPerAccess:    float64(wall.Nanoseconds()) / float64(keysFetched),
-		AccessesPerSec: float64(keysFetched) / wall.Seconds(),
-		Parallelism:    loopbackClients,
-		Gate:           gateThroughput,
-	}
-}
-
-// measureLoopback drives a real kvserver over loopback TCP with
-// pipelined multi-key gets: the end-to-end throughput the per-layer
-// optimizations (optimistic reads, shard-batched dispatch, coalesced
-// flushes) have to add up to.
-func measureLoopback(n uint64) Entry {
-	srv := kvserver.New(kvserver.Config{
-		Cache:        adaptivekv.Config{Shards: 16, Sets: 256, Ways: 4},
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 30 * time.Second,
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(fmt.Sprintf("loopback listen: %v", err))
-	}
-	go srv.Serve(ln)
-	defer srv.Shutdown(ln, time.Second)
-	return driveLoopback(fmt.Sprintf("kvserver/loopback/multiget/p%d", loopbackClients),
-		ln.Addr().String(), loopbackBatch, n)
-}
-
-// Router-row shape: 3 nodes, batch tripled so each node still sees
-// ~loopbackBatch keys per scatter leg; routerFloorRatio is the
-// acceptance floor vs the single-node row where hardware permits.
-const (
-	routerNodes      = 3
-	routerBatch      = loopbackBatch * routerNodes
-	routerFloorRatio = 1.0
-)
-
-// measureRouterLoopback sends the same client load through a kvcluster
-// Router fronting routerNodes in-process kvservers: clients dial the
-// router exactly as they would one node, and every multiget exercises
-// the full scatter-gather path (split by ring owner, concurrent
-// per-node sub-gets, request-order reassembly). With replicas > 1 the
-// row records what R=2 redundancy costs on the healthy-path read
-// (replica-set computation per key; the write-side fan-out happens only
-// during the per-client Set preload) — reported for the curve, not
-// gated, since the price of surviving a node loss is a capacity choice,
-// not a regression.
-func measureRouterLoopback(n uint64, replicas int) Entry {
-	f, err := fleet.Start(routerNodes, func(int) fleet.NodeConfig {
-		return fleet.NodeConfig{Server: kvserver.Config{
-			Cache:        adaptivekv.Config{Shards: 16, Sets: 256, Ways: 4},
-			ReadTimeout:  30 * time.Second,
-			WriteTimeout: 30 * time.Second,
-		}}
-	})
-	if err != nil {
-		panic(fmt.Sprintf("router fleet: %v", err))
-	}
-	defer f.Close()
-	cl, err := kvcluster.New(kvcluster.Config{
-		Nodes:    f.Addrs(),
-		Seed:     1,
-		PoolSize: loopbackClients,
-		Replicas: replicas,
-		Reconnect: kvproto.ReconnectConfig{
-			DialTimeout:  5 * time.Second,
-			ReadTimeout:  30 * time.Second,
-			WriteTimeout: 30 * time.Second,
-		},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("router cluster: %v", err))
-	}
-	cl.Start()
-	defer cl.Close()
-	router := kvcluster.NewRouter(cl, kvcluster.RouterConfig{WriteTimeout: 30 * time.Second})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(fmt.Sprintf("router listen: %v", err))
-	}
-	go router.Serve(ln)
-	defer router.Shutdown(ln, time.Second)
-	name := "kvrouter/loopback/3node/multiget"
-	if replicas > 1 {
-		name = "kvrouter/loopback/3node/replicated"
-	}
-	return driveLoopback(name, ln.Addr().String(), routerBatch, n)
 }
 
 // checkScaling enforces the acceptance floor on a fresh measurement: at
 // p8, the optimistic contended-Get row must sustain >= minScalingRatio
 // x the locked row's throughput. Runs in both write and -check modes —
 // the scaling property is a gate on the code, not on a baseline file.
-//
-// The floor is only enforceable on hardware that can actually contend:
-// with fewer than 8 CPUs, GOMAXPROCS=8 timeshares threads on the cores
-// available, the shard mutex is rarely held by a *running* thread, and
-// the locked path measures nearly contention-free. On such machines the
-// ratio is printed for the record but not gated — a 1-core container
-// saying "no scaling regression" would be a lie in both directions.
-func checkScaling(entries []Entry) error {
+// The p8 rows exist only on hosts with at least 8 CPUs; fewer cores
+// cannot contend 8 threads, so there is nothing to gate.
+func checkScaling(entries []Entry, ncpu int) error {
 	var locked, opt *Entry
 	for i := range entries {
 		switch entries[i].Name {
@@ -610,14 +371,10 @@ func checkScaling(entries []Entry) error {
 		}
 	}
 	if locked == nil || opt == nil {
-		return fmt.Errorf("contended p8 rows missing; cannot check scaling")
-	}
-	ratio := opt.AccessesPerSec / locked.AccessesPerSec
-	if ncpu := runtime.NumCPU(); ncpu < 8 {
-		fmt.Printf("%-36s %.2fx optimistic vs locked at p8 (floor %.1fx not enforced: %d CPUs cannot contend 8 threads)\n",
-			"kv/Get/contended scaling", ratio, minScalingRatio, ncpu)
+		fmt.Printf("%-36s not measured: the p8 rows need 8 CPUs, host has %d\n", "kv/Get/contended scaling", ncpu)
 		return nil
 	}
+	ratio := opt.AccessesPerSec / locked.AccessesPerSec
 	fmt.Printf("%-36s %.2fx optimistic vs locked at p8 (floor %.1fx)\n", "kv/Get/contended scaling", ratio, minScalingRatio)
 	if ratio < minScalingRatio {
 		return fmt.Errorf("contended Get scaling %.2fx at p8 is below the %.1fx floor", ratio, minScalingRatio)
@@ -625,86 +382,26 @@ func checkScaling(entries []Entry) error {
 	return nil
 }
 
-// checkRouterFloor enforces the routing-tier acceptance floor: the
-// router row, with 3 nodes' worth of cache behind it, must at least
-// match the single-node loopback row at the same client parallelism.
-// Like checkScaling, the floor is only meaningful on hardware where the
-// tiers can actually run concurrently: with fewer than 8 CPUs the
-// clients, the router's fanout goroutines, and all three backends
-// timeshare the same cores, the extra hop is pure serialized overhead,
-// and the ratio is reported for the record but not gated.
-func checkRouterFloor(entries []Entry) error {
-	var single, routed *Entry
-	for i := range entries {
-		switch entries[i].Name {
-		case fmt.Sprintf("kvserver/loopback/multiget/p%d", loopbackClients):
-			single = &entries[i]
-		case "kvrouter/loopback/3node/multiget":
-			routed = &entries[i]
-		}
-	}
-	if single == nil || routed == nil {
-		return fmt.Errorf("loopback rows missing; cannot check router floor")
-	}
-	ratio := routed.AccessesPerSec / single.AccessesPerSec
-	if ncpu := runtime.NumCPU(); ncpu < 8 {
-		fmt.Printf("%-36s %.2fx router vs single node (floor %.1fx not enforced: %d CPUs serialize the tiers)\n",
-			"kvrouter/loopback floor", ratio, routerFloorRatio, ncpu)
-		return nil
-	}
-	fmt.Printf("%-36s %.2fx router vs single node (floor %.1fx)\n", "kvrouter/loopback floor", ratio, routerFloorRatio)
-	if ratio < routerFloorRatio {
-		return fmt.Errorf("router multiget throughput is %.2fx the single-node row, below the %.1fx floor", ratio, routerFloorRatio)
-	}
-	return nil
-}
-
-// measureHistogram times metrics.Histogram.RecordNS — the primitive every
-// per-op latency observation in kvserver funnels through, sitting inside
-// the request loop itself. Its contract is zero allocations per record;
-// compare() fails outright on any nonzero allocs/access, so wiring a
-// heap-allocating observation path can never land silently.
-func measureHistogram(n uint64) Entry {
-	h := new(metrics.Histogram)
-	return measure("metrics/Record", n, n/10, func(rng uint64) {
-		h.RecordNS(int64(rng % 50_000_000)) // spread over ~21 octaves of buckets
-	})
-}
-
-func measureMacro(instrs uint64, seedNS int64) Macro {
+func measureMacro(instrs uint64) Macro {
 	o := sim.Options{Instrs: instrs, Warmup: instrs / 5}
 	start := time.Now()
 	sim.ExtendedSet(o)
 	wall := time.Since(start)
-	m := Macro{
+	return Macro{
 		Name:         "ExtendedSet",
 		InstrsPerRun: instrs,
 		WallNS:       wall.Nanoseconds(),
 		Seconds:      wall.Seconds(),
 	}
-	if seedNS > 0 {
-		m.SeedWallNS = seedNS
-		m.Speedup = float64(seedNS) / float64(wall.Nanoseconds())
-	}
-	return m
-}
-
-// rowParallelism normalizes a recorded parallelism: rows written before
-// provenance tracking decode as 0 and were all serial.
-func rowParallelism(e Entry) int {
-	if e.Parallelism == 0 {
-		return 1
-	}
-	return e.Parallelism
 }
 
 // compare reloads the committed report and fails if any serial hot-path
 // loop got slower than tolerance allows or started allocating. Rows
 // measured at different parallelism than their baseline are refused
 // outright — that is a provenance error, and "p1 baseline vs p8 fresh"
-// numbers would be nonsense in either direction. Scaling and throughput
-// rows are reported but not gated against the baseline (the in-run
-// scaling floor in checkScaling covers them).
+// numbers would be nonsense in either direction. Scaling rows are
+// reported but not gated against the baseline (the in-run scaling floor
+// in checkScaling covers them).
 func compare(path string, fresh []Entry, tol float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -725,8 +422,8 @@ func compare(path string, fresh []Entry, tol float64) error {
 			fmt.Printf("%-36s no baseline entry, skipping\n", e.Name)
 			continue
 		}
-		if bp, fp := rowParallelism(b), rowParallelism(e); bp != fp {
-			return fmt.Errorf("%s: baseline measured at parallelism %d, fresh at %d; refusing to compare", e.Name, bp, fp)
+		if b.Parallelism != e.Parallelism {
+			return fmt.Errorf("%s: baseline measured at parallelism %d, fresh at %d; refusing to compare", e.Name, b.Parallelism, e.Parallelism)
 		}
 		if e.Gate != gateSerial {
 			fmt.Printf("%-36s info: %.0f acc/s vs baseline %.0f (%s row, not gated)\n",

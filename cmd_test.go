@@ -4,6 +4,7 @@ package repro
 // the local toolchain and driven through a small but real invocation.
 
 import (
+	"encoding/json"
 	"net"
 	"os"
 	"os/exec"
@@ -121,6 +122,51 @@ func TestBenchtablesEndToEnd(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("unknown figure accepted:\n%s", out)
 	}
+}
+
+// TestBenchregressEndToEnd runs the micro gates at a small -n and checks
+// the file they write: only rows the host can run, no serving-stack
+// rows, zero allocations on every serial row, and a -check against the
+// file just written passes.
+func TestBenchregressEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	bin := buildCmd(t, "benchregress")
+	outFile := filepath.Join(t.TempDir(), "bench.json")
+	runCmd(t, bin, "-n", "20000", "-macro-n", "0", "-out", outFile)
+
+	data, err := os.ReadFile(outFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		NumCPU  int `json:"num_cpu"`
+		HotPath []struct {
+			Name            string  `json:"name"`
+			AllocsPerAccess float64 `json:"allocs_per_access"`
+			Parallelism     int     `json:"parallelism"`
+			Gate            string  `json:"gate"`
+		} `json:"hot_path"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("%s: %v", outFile, err)
+	}
+	if rep.NumCPU < 1 || len(rep.HotPath) == 0 {
+		t.Fatalf("report without num_cpu or rows:\n%s", data)
+	}
+	for _, e := range rep.HotPath {
+		if e.Parallelism > rep.NumCPU {
+			t.Errorf("%s: measured at parallelism %d on %d CPUs", e.Name, e.Parallelism, rep.NumCPU)
+		}
+		if strings.Contains(e.Name, "loopback") {
+			t.Errorf("%s: serving-stack row in the micro gates", e.Name)
+		}
+		if e.Gate == "" && e.AllocsPerAccess != 0 {
+			t.Errorf("%s: serial row allocates %g per access", e.Name, e.AllocsPerAccess)
+		}
+	}
+	runCmd(t, bin, "-check", "-n", "20000", "-tolerance", "10", "-out", outFile)
 }
 
 func TestVerifyboundEndToEnd(t *testing.T) {

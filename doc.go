@@ -59,8 +59,12 @@
 //     configuration, reporting MPKI/CPI.
 //   - cmd/benchtables — regenerate the full paper tables.
 //   - cmd/tracegen — emit synthetic traces in the binary trace format.
-//   - cmd/benchregress — measure the simulator and adaptivekv hot paths
-//     against BENCH_hotpath.json; -check gates regressions in CI.
+//   - cmd/benchregress — in-process micro gates: measure the simulator
+//     and adaptivekv hot paths against BENCH_hotpath.json; -check gates
+//     regressions in CI. It links no serving code.
+//   - cmd/kvbench — the benchmark of record for the serving stack, a Go
+//     module of its own: verified closed-loop workloads through the
+//     protocol, the server and the router, with per-run provenance.
 //   - cmd/verifybound — exhaustively check the 2x worst-case miss bound.
 //   - cmd/adaptcached — serve adaptivekv over TCP (memcached-style text
 //     protocol) with expvar counters and graceful shutdown.

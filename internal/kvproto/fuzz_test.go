@@ -3,16 +3,23 @@ package kvproto
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReaderNext throws arbitrary bytes at the request parser. The
 // properties under test: no panics, no infinite loops, every successful
-// parse satisfies the protocol's declared invariants, and every
-// *ClientError leaves the stream resynchronized (the parser keeps making
-// progress). Seeds cover each command, each recoverable violation, and
-// truncations at interesting offsets.
+// parse satisfies the protocol's declared invariants, every *ClientError
+// leaves the stream resynchronized (the parser keeps making progress),
+// and the parse does not depend on how the bytes are split across reads:
+// one byte per read, and two reads cut at a fuzzed offset, give the same
+// requests and the same final error as one buffer. Seeds cover each
+// command, each recoverable violation, and truncations at interesting
+// offsets.
 func FuzzReaderNext(f *testing.F) {
 	seeds := []string{
 		// Valid traffic.
@@ -73,56 +80,129 @@ func FuzzReaderNext(f *testing.F) {
 		"get \x00\r\n",
 	}
 	for _, s := range seeds {
-		f.Add([]byte(s))
+		// Split each seed in half and just past its first command line:
+		// the latter makes a store's data chunk arrive in a refill of
+		// its own, the refill that once overwrote an aliased key.
+		f.Add([]byte(s), uint16(len(s)/2))
+		f.Add([]byte(s), uint16(strings.IndexByte(s, '\n')+1))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := NewReader(bytes.NewReader(data))
-		var req Request
-		for i := 0; i <= len(data)+1; i++ {
-			err := rd.Next(&req)
-			if err == nil {
-				switch req.Op {
-				case OpGet, OpGets:
-					if n := len(req.Keys); n < 1 || n > MaxGetKeys {
-						t.Fatalf("accepted %v with %d keys", req.Op, n)
-					}
-					for _, k := range req.Keys {
-						if !validKey(k) {
-							t.Fatalf("accepted invalid key %q", k)
-						}
-					}
-					if !bytes.Equal(req.Key, req.Keys[0]) {
-						t.Fatalf("Key %q != Keys[0] %q", req.Key, req.Keys[0])
-					}
-				case OpDelete:
-					if !validKey(req.Key) {
-						t.Fatalf("accepted invalid key %q", req.Key)
-					}
-				case OpSet, OpCas:
-					if !validKey(req.Key) {
-						t.Fatalf("accepted invalid %v key %q", req.Op, req.Key)
-					}
-					if len(req.Value) > MaxValueBytes {
-						t.Fatalf("accepted %d-byte value", len(req.Value))
-					}
-				case OpStats, OpQuit, OpNoop, OpFlushAll:
-				default:
-					t.Fatalf("parsed request with op %v", req.Op)
-				}
-				continue
-			}
-			var ce *ClientError
-			if errors.As(err, &ce) {
-				continue // resynchronized; keep going
-			}
-			// Fatal errors must be the documented ones.
-			if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrCorrupt {
-				t.Fatalf("undocumented fatal error: %v", err)
-			}
-			return
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		whole, wholeErr := parseAll(t, bytes.NewReader(data), len(data))
+		for _, p := range whole {
+			checkInvariants(t, p)
 		}
-		// Each iteration consumes at least one byte (a line or a chunk), so
-		// len(data)+1 iterations without reaching an error means a stall.
-		t.Fatalf("parser failed to terminate on %d-byte input", len(data))
+		// Fatal errors must be the documented ones.
+		if wholeErr != io.EOF && wholeErr != io.ErrUnexpectedEOF && wholeErr != ErrCorrupt {
+			t.Fatalf("undocumented fatal error: %v", wholeErr)
+		}
+		// Parsing must not depend on how the bytes arrive: one at a time,
+		// or in two reads cut at a fuzz-chosen offset.
+		cut := int(split) % (len(data) + 1)
+		for _, fr := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"one byte per read", iotest.OneByteReader(bytes.NewReader(data))},
+			{fmt.Sprintf("split at %d", cut), io.MultiReader(bytes.NewReader(data[:cut]), bytes.NewReader(data[cut:]))},
+		} {
+			got, gotErr := parseAll(t, fr.r, len(data))
+			for i := 0; i < len(got) || i < len(whole); i++ {
+				if i >= len(got) || i >= len(whole) || !reflect.DeepEqual(got[i], whole[i]) {
+					t.Fatalf("%s: outcome %d differs from the one-buffer parse:\n got %s\nwant %s",
+						fr.name, i, outcomeAt(got, i), outcomeAt(whole, i))
+				}
+			}
+			if gotErr != wholeErr {
+				t.Fatalf("%s: parse ended in %v, the one-buffer parse in %v", fr.name, gotErr, wholeErr)
+			}
+		}
 	})
+}
+
+// outcome is one Next result, copied out of the Reader's reused buffers:
+// a parsed request, or the message of a recoverable *ClientError.
+type outcome struct {
+	Op        Op
+	Keys      []string
+	Key       string
+	Value     string
+	Flags     uint32
+	Exptime   int64
+	Cas       uint64
+	ClientErr string
+}
+
+func outcomeAt(outs []outcome, i int) string {
+	if i >= len(outs) {
+		return "(none)"
+	}
+	return fmt.Sprintf("%#v", outs[i])
+}
+
+// parseAll calls Next until it returns a fatal error, recording every
+// outcome. Each call consumes at least one byte (a line or a chunk), so
+// more than n+1 calls on an n-byte input means the parser stalled.
+func parseAll(t *testing.T, r io.Reader, n int) ([]outcome, error) {
+	t.Helper()
+	rd := NewReader(r)
+	var (
+		req  Request
+		outs []outcome
+	)
+	for i := 0; i <= n+1; i++ {
+		err := rd.Next(&req)
+		var ce *ClientError
+		switch {
+		case err == nil:
+			o := outcome{Op: req.Op, Key: string(req.Key), Value: string(req.Value),
+				Flags: req.Flags, Exptime: req.Exptime, Cas: req.Cas}
+			for _, k := range req.Keys {
+				o.Keys = append(o.Keys, string(k))
+			}
+			outs = append(outs, o)
+		case errors.As(err, &ce):
+			outs = append(outs, outcome{ClientErr: ce.Msg}) // resynchronized; keep going
+		default:
+			return outs, err
+		}
+	}
+	t.Fatalf("parser failed to terminate on %d-byte input", n)
+	return nil, nil
+}
+
+// checkInvariants asserts the protocol's declared invariants on one
+// successfully parsed request.
+func checkInvariants(t *testing.T, o outcome) {
+	t.Helper()
+	if o.ClientErr != "" {
+		return
+	}
+	switch o.Op {
+	case OpGet, OpGets:
+		if n := len(o.Keys); n < 1 || n > MaxGetKeys {
+			t.Fatalf("accepted %v with %d keys", o.Op, n)
+		}
+		for _, k := range o.Keys {
+			if !validKey([]byte(k)) {
+				t.Fatalf("accepted invalid key %q", k)
+			}
+		}
+		if o.Key != o.Keys[0] {
+			t.Fatalf("Key %q != Keys[0] %q", o.Key, o.Keys[0])
+		}
+	case OpDelete:
+		if !validKey([]byte(o.Key)) {
+			t.Fatalf("accepted invalid key %q", o.Key)
+		}
+	case OpSet, OpCas:
+		if !validKey([]byte(o.Key)) {
+			t.Fatalf("accepted invalid %v key %q", o.Op, o.Key)
+		}
+		if len(o.Value) > MaxValueBytes {
+			t.Fatalf("accepted %d-byte value", len(o.Value))
+		}
+	case OpStats, OpQuit, OpNoop, OpFlushAll:
+	default:
+		t.Fatalf("parsed request with op %v", o.Op)
+	}
 }
