@@ -26,8 +26,9 @@
 //
 // The adaptive policy mutates recency/frequency/shadow state on every
 // hit, which would serialize all readers on the shard lock. Instead, by
-// default Get runs optimistically: it probes an atomic mirror of the
-// directory tags under a per-shard seqlock and resolves the value without
+// default Get runs optimistically: it scans an atomic mirror of the set's
+// tags with no lock, confirms a match under that set's read lock (writers
+// lock only the set they publish to), and resolves the value without
 // touching the engine, then pushes a pending access record into a
 // per-shard ring. The next mutation on the shard (or a ¾-full ring)
 // drains the ring into the engine in one batch, so the engine still sees
@@ -215,13 +216,14 @@ type Stats struct {
 	// touched the colliding entry's recency/frequency, so engine-level
 	// stats diverge from user-visible behavior by exactly this count.
 	HashCollisions uint64
-	// OptimisticFastpath counts Gets resolved through the atomic tag
-	// mirror — a lock-free miss, or a hit confirmed under the shared read
-	// lock — without ever taking the shard's engine lock.
+	// OptimisticFastpath counts optimistic Gets that never waited on a
+	// lock: a lock-free miss, or a hit confirmed under a set read lock
+	// taken at the first try. It is Gets − OptimisticFallback on an
+	// optimistic cache and 0 under StrictOrder.
 	OptimisticFastpath uint64
-	// OptimisticFallback counts Gets that saw the shard's seqlock version
-	// move mid-probe (a racing writer) and re-probed authoritatively
-	// under the read lock.
+	// OptimisticFallback counts optimistic Gets whose TryRLock on their
+	// set failed — a writer was publishing to that set — and that then
+	// waited for the read lock.
 	OptimisticFallback uint64
 	// PendingHitsDropped counts deferred access records discarded because
 	// the pending ring was full. Drops lose a little adaptive signal
@@ -291,19 +293,21 @@ type entry[K comparable, V any] struct {
 	casid    uint64
 }
 
-// shard is one lock stripe. Two locks split its state:
+// shard is one lock stripe. Two kinds of lock split its state:
 //
 //   - mu is the authority lock: the decision engine, the writer-owned
 //     counters, the resident count, and the pending-ring consumer. All
 //     mutations (Set, Delete, batch variants) and all engine reads
 //     (ShardStats, Winner) hold it.
-//   - rmu orders entry/tag-mirror publication against optimistic
-//     readers: writers publish under rmu.Lock inside a seqlock window,
-//     readers confirm hits under rmu.RLock. Ring drains touch only the
-//     engine, so they run under mu alone and never stall readers.
+//   - locks[set] orders the publication of that set's entries and
+//     mirror words against that set's optimistic readers: writers
+//     publish under its write lock, readers copy a matched entry under
+//     its read lock. Ring drains touch only the engine, so they run
+//     under mu alone and never stall readers.
 //
-// Lock order is mu → rmu; rmu is never held across an mu acquisition
-// (notePending's drain uses TryLock and holds no other lock).
+// Lock order is mu → locks[set]; a set lock is never held across an mu
+// acquisition (notePending's drain uses TryLock after the read lock is
+// released), and no one holds two set locks at once.
 //
 // rtags mirrors the engine's directory tags as atomics, packed tag<<1|1
 // (0 = invalid way), so lock-free readers never touch engine memory.
@@ -312,9 +316,8 @@ type shard[K comparable, V any] struct {
 	mu  sync.Mutex
 	eng *core.Engine
 
-	rmu     sync.RWMutex
-	seq     atomic.Uint64 // seqlock version; odd = publication in progress
-	entries []entry[K, V] // set*ways+way
+	locks   []sync.RWMutex // one per set
+	entries []entry[K, V]  // set*ways+way
 	rtags   []atomic.Uint64
 
 	ring    *pendingRing // nil under StrictOrder
@@ -333,11 +336,11 @@ type shard[K comparable, V any] struct {
 	casSeq                             uint64
 	casStored, casConflicts, casMisses uint64
 
-	// Reader-shared counters, incremented outside mu.
-	gets, getHits      atomic.Uint64
-	collisions         atomic.Uint64
-	fastpath, fallback atomic.Uint64
-	dropped            atomic.Uint64
+	// Reader-shared counters, incremented outside mu (fastpath is derived).
+	gets, getHits atomic.Uint64
+	collisions    atomic.Uint64
+	fallback      atomic.Uint64
+	dropped       atomic.Uint64
 
 	_ [64]byte
 }
@@ -409,6 +412,7 @@ func New[K comparable, V any](cfg Config, opts ...Option[K, V]) *Cache[K, V] {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.eng = core.NewEngine(g, cfg.buildPolicy())
+		sh.locks = make([]sync.RWMutex, cfg.Sets)
 		sh.entries = make([]entry[K, V], cfg.Sets*cfg.Ways)
 		sh.rtags = make([]atomic.Uint64, cfg.Sets*cfg.Ways)
 		if c.optimistic {
@@ -429,9 +433,12 @@ func New[K comparable, V any](cfg Config, opts ...Option[K, V]) *Cache[K, V] {
 // arrays degenerate into always-hit, starving the selector of signal.
 // (set, tag) ↔ h is still a bijection, so key discrimination is unchanged.
 func (c *Cache[K, V]) locate(key K) (sh *shard[K, V], set int, tag uint64) {
-	h := mix64(c.hash(key))
-	sh = &c.shards[(h>>48)&uint64(len(c.shards)-1)]
-	return sh, int(h & c.setMask), h >> c.setShift
+	return c.place(mix64(c.hash(key)))
+}
+
+// place splits a mixed key hash into (shard, set, tag), as locate does.
+func (c *Cache[K, V]) place(h uint64) (sh *shard[K, V], set int, tag uint64) {
+	return &c.shards[(h>>48)&uint64(len(c.shards)-1)], int(h & c.setMask), h >> c.setShift
 }
 
 // Get returns the value cached under key. The access updates the adaptive
@@ -446,20 +453,27 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // GetCas is Get returning, additionally, the entry's cas unique — the
 // token a later CompareAndSwap must present. On the optimistic path the
-// unique is read inside the same seqlock window as the value, so the
+// unique is read under the same set read lock as the value, so the
 // (value, unique) pair is always coherent. A miss returns unique 0,
 // which no resident entry ever carries.
-func (c *Cache[K, V]) GetCas(key K) (V, uint64, bool) {
+func (c *Cache[K, V]) GetCas(key K) (v V, id uint64, ok bool) {
 	sh, set, tag := c.locate(key)
 	sh.gets.Add(1)
-	if !c.optimistic {
+	if c.optimistic {
+		var waited bool
+		v, id, ok, waited = c.getOptimistic(sh, set, tag, key)
+		if waited {
+			sh.fallback.Add(1)
+		}
+		c.notePending(sh, set, tag)
+	} else {
 		sh.mu.Lock()
-		v, id, ok := c.lookupLocked(sh, set, tag, key)
+		v, id, ok = c.lookupLocked(sh, set, tag, key)
 		sh.mu.Unlock()
-		return v, id, ok
 	}
-	v, id, ok := c.getOptimistic(sh, set, tag, key)
-	c.notePending(sh, set, tag)
+	if ok {
+		sh.getHits.Add(1)
+	}
 	return v, id, ok
 }
 
@@ -475,30 +489,35 @@ func (c *Cache[K, V]) expiredDeadline(d int64) bool {
 // sh.mu and has verified the slot holds the expired key.
 func (c *Cache[K, V]) expireLocked(sh *shard[K, V], set int, tag uint64, slot int) {
 	sh.eng.Delete(set, tag)
-	sh.publish(slot, entry[K, V]{}, 0)
+	sh.publish(set, slot, entry[K, V]{}, 0)
 	sh.expired++
 	sh.resident--
 }
 
-// lookupLocked is the authoritative Get body: engine lookup inline plus
-// key confirmation. Caller holds sh.mu. When TTLs are in play, an
-// expired resident entry is vacated first and the engine then records a
-// genuine miss — leader-set learning sees the access exactly as if the
-// entry had never been there.
-func (c *Cache[K, V]) lookupLocked(sh *shard[K, V], set int, tag uint64, key K) (V, uint64, bool) {
-	if c.ttlInUse.Load() {
-		if way, ok := sh.eng.Find(set, tag); ok {
-			slot := set*c.ways + way
-			e := &sh.entries[slot]
-			if e.key == key && c.expiredDeadline(e.deadline) {
-				c.expireLocked(sh, set, tag, slot)
-			}
+// reapLocked vacates key's entry if it is a TTL corpse, so the engine
+// access that follows records the miss the caller sees. Caller holds sh.mu.
+func (c *Cache[K, V]) reapLocked(sh *shard[K, V], set int, tag uint64, key K) {
+	if !c.ttlInUse.Load() {
+		return
+	}
+	if way, ok := sh.eng.Find(set, tag); ok {
+		slot := set*c.ways + way
+		if e := &sh.entries[slot]; e.key == key && c.expiredDeadline(e.deadline) {
+			c.expireLocked(sh, set, tag, slot)
 		}
 	}
+}
+
+// lookupLocked is the authoritative Get body: engine lookup inline plus
+// key confirmation; the caller counts the hit. Caller holds sh.mu. When
+// TTLs are in play, an expired resident entry is vacated first and the
+// engine then records a genuine miss — leader-set learning sees the
+// access exactly as if the entry had never been there.
+func (c *Cache[K, V]) lookupLocked(sh *shard[K, V], set int, tag uint64, key K) (V, uint64, bool) {
+	c.reapLocked(sh, set, tag, key)
 	if way, ok := sh.eng.Lookup(set, tag); ok {
 		e := &sh.entries[set*c.ways+way]
 		if e.key == key {
-			sh.getHits.Add(1)
 			return e.val, e.casid, true
 		}
 		// 64-bit hash collision between distinct keys: a user-visible
@@ -510,9 +529,9 @@ func (c *Cache[K, V]) lookupLocked(sh *shard[K, V], set int, tag uint64, key K) 
 	return zero, 0, false
 }
 
-// probeShared resolves a Get against the atomic tag mirror and the entry
-// array. Caller holds sh.rmu (either side), which excludes publication,
-// so the plain entry reads are race-free.
+// probeShared resolves a Get against the set's tag mirror and entries
+// (the caller counts the hit). Caller holds sh.locks[set], which excludes
+// the set's publications, so the plain entry reads are race-free.
 func (c *Cache[K, V]) probeShared(sh *shard[K, V], set int, tag uint64, key K) (V, uint64, bool) {
 	base := set * c.ways
 	packed := tag<<1 | 1
@@ -523,12 +542,11 @@ func (c *Cache[K, V]) probeShared(sh *shard[K, V], set int, tag uint64, key K) (
 		e := &sh.entries[base+w]
 		if e.key == key {
 			if c.expiredDeadline(e.deadline) {
-				// Expired corpse: a miss to the caller. Readers hold only
-				// rmu, so the slot is reclaimed (and Expired counted) later
-				// by a writer, the ring drain, or the sweeper.
+				// Expired corpse: a miss to the caller. Readers hold only a
+				// set read lock, so a writer, the ring drain or the sweeper
+				// reclaims the slot (and counts Expired) later.
 				break
 			}
-			sh.getHits.Add(1)
 			return e.val, e.casid, true
 		}
 		sh.collisions.Add(1)
@@ -538,41 +556,30 @@ func (c *Cache[K, V]) probeShared(sh *shard[K, V], set int, tag uint64, key K) (
 	return zero, 0, false
 }
 
-// getOptimistic is the scalable read path. A pass over the tag mirror
-// with the seqlock version even and stable on both sides resolves a miss
-// with no locks at all; a mirror match confirms the hit under rmu.RLock
-// (shared with other readers, never with the engine lock). Only a
-// version shift mid-probe — a racing writer — forces the authoritative
-// re-probe, counted as a fallback.
-func (c *Cache[K, V]) getOptimistic(sh *shard[K, V], set int, tag uint64, key K) (V, uint64, bool) {
-	if s1 := sh.seq.Load(); s1&1 == 0 {
-		base := set * c.ways
-		packed := tag<<1 | 1
-		match := false
-		for w := 0; w < c.ways; w++ {
-			if sh.rtags[base+w].Load() == packed {
-				match = true
-				break
+// getOptimistic is the scalable read path. A lock-free scan of the set's
+// tag mirror that finds no match is a miss, with no lock and no retry:
+// the engine updates a resident tag in place, so a key resident for the
+// whole scan keeps its way and its mirror word and the scan sees it, and
+// a key that is not was absent at some instant during the scan. A match
+// is confirmed under the set's read lock, which only a publication to
+// the same set excludes; waited reports that TryRLock failed and the
+// reader waited for that publication.
+func (c *Cache[K, V]) getOptimistic(sh *shard[K, V], set int, tag uint64, key K) (v V, id uint64, ok, waited bool) {
+	base := set * c.ways
+	packed := tag<<1 | 1
+	for w := 0; w < c.ways; w++ {
+		if sh.rtags[base+w].Load() == packed {
+			l := &sh.locks[set]
+			if !l.TryRLock() {
+				waited = true
+				l.RLock()
 			}
-		}
-		if match {
-			sh.rmu.RLock()
-			v, id, ok := c.probeShared(sh, set, tag, key)
-			sh.rmu.RUnlock()
-			sh.fastpath.Add(1)
-			return v, id, ok
-		}
-		if sh.seq.Load() == s1 {
-			sh.fastpath.Add(1)
-			var zero V
-			return zero, 0, false
+			v, id, ok = c.probeShared(sh, set, tag, key)
+			l.RUnlock()
+			return v, id, ok, waited
 		}
 	}
-	sh.fallback.Add(1)
-	sh.rmu.RLock()
-	v, id, ok := c.probeShared(sh, set, tag, key)
-	sh.rmu.RUnlock()
-	return v, id, ok
+	return v, 0, false, false
 }
 
 // notePending queues the access for deferred engine replay and self-
@@ -599,10 +606,10 @@ func (c *Cache[K, V]) maybeDrain(sh *shard[K, V]) {
 // drainPending replays queued access records into the decision engine.
 // Caller holds sh.mu. Replay uses Lookup — the fill-free probe — which
 // updates recency/frequency/shadow/history state but never moves
-// directory lines, so non-TTL drains need no rmu and never stall
+// directory lines, so non-TTL drains take no set lock and never stall
 // readers. With TTLs in play each record first checks the resident
-// entry's deadline: an expired corpse is vacated (the one rmu window
-// the drain ever takes) *before* the replay, so the engine records the
+// entry's deadline: an expired corpse is vacated (the one set lock the
+// drain ever takes) *before* the replay, so the engine records the
 // miss the optimistic reader actually experienced rather than a hit on
 // a dead entry.
 func (c *Cache[K, V]) drainPending(sh *shard[K, V]) {
@@ -629,15 +636,15 @@ func (c *Cache[K, V]) drainPending(sh *shard[K, V]) {
 	r.headPub.Store(r.head)
 }
 
-// publish installs slot's entry and tag mirror inside a seqlock window.
-// Caller holds sh.mu; packed is tag<<1|1, or 0 to invalidate.
-func (sh *shard[K, V]) publish(slot int, e entry[K, V], packed uint64) {
-	sh.rmu.Lock()
-	sh.seq.Add(1) // odd: publication in progress
+// publish installs slot's entry and tag mirror under the write lock of
+// set, the set slot belongs to. Caller holds sh.mu; packed is tag<<1|1,
+// or 0 to invalidate.
+func (sh *shard[K, V]) publish(set, slot int, e entry[K, V], packed uint64) {
+	l := &sh.locks[set]
+	l.Lock()
 	sh.entries[slot] = e
 	sh.rtags[slot].Store(packed)
-	sh.seq.Add(1)
-	sh.rmu.Unlock()
+	l.Unlock()
 }
 
 // Set caches val under key with no expiry, updating in place when key is
@@ -659,6 +666,14 @@ func (c *Cache[K, V]) SetTTL(key K, val V, deadline int64) {
 	sh, set, tag := c.locate(key)
 	sh.mu.Lock()
 	c.drainPending(sh)
+	c.storeLocked(sh, set, tag, key, val, deadline)
+	sh.mu.Unlock()
+}
+
+// storeLocked is the body of every store: the engine upsert, the store
+// accounting, a fresh cas unique and the publication. Caller holds sh.mu
+// and has drained the ring.
+func (c *Cache[K, V]) storeLocked(sh *shard[K, V], set int, tag uint64, key K, val V, deadline int64) {
 	sh.stores++
 	res := sh.eng.Store(set, tag)
 	slot := set*c.ways + res.Way
@@ -682,8 +697,7 @@ func (c *Cache[K, V]) SetTTL(key K, val V, deadline int64) {
 		sh.resident++ // filled a previously invalid way
 	}
 	sh.casSeq++
-	sh.publish(slot, entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}, tag<<1|1)
-	sh.mu.Unlock()
+	sh.publish(set, slot, entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}, tag<<1|1)
 }
 
 // CasResult is the outcome of a CompareAndSwap.
@@ -719,15 +733,7 @@ func (c *Cache[K, V]) CompareAndSwap(key K, val V, casid uint64, deadline int64)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	c.drainPending(sh)
-	if c.ttlInUse.Load() {
-		if way, ok := sh.eng.Find(set, tag); ok {
-			slot := set*c.ways + way
-			e := &sh.entries[slot]
-			if e.key == key && c.expiredDeadline(e.deadline) {
-				c.expireLocked(sh, set, tag, slot)
-			}
-		}
-	}
+	c.reapLocked(sh, set, tag, key)
 	way, ok := sh.eng.Lookup(set, tag) // the op's one real engine access
 	if !ok {
 		sh.casMisses++
@@ -748,7 +754,7 @@ func (c *Cache[K, V]) CompareAndSwap(key K, val V, casid uint64, deadline int64)
 	}
 	sh.casStored++
 	sh.casSeq++
-	sh.publish(slot, entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}, tag<<1|1)
+	sh.publish(set, slot, entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}, tag<<1|1)
 	return CasStored
 }
 
@@ -775,7 +781,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 		return false
 	}
 	sh.eng.Delete(set, tag)
-	sh.publish(slot, entry[K, V]{}, 0) // release references
+	sh.publish(set, slot, entry[K, V]{}, 0) // release references
 	sh.delHits++
 	sh.resident--
 	return true
@@ -783,10 +789,11 @@ func (c *Cache[K, V]) Delete(key K) bool {
 
 // Flush removes every resident entry and returns how many were dropped.
 // It locks one shard at a time (like the stats collectors), so
-// operations on other shards proceed while a shard is being emptied and
-// the flush is only per-shard atomic, which is all a cache needs: a
+// operations on other shards proceed while a shard is being emptied. A
 // flush racing a writer keeps either nothing or only entries written
-// after that shard was swept. Entries leave through the engine's Delete
+// after that shard was swept; a reader racing it sees each set either
+// full or flushed. Nothing written before Flush started survives it,
+// which is all a cache needs. Entries leave through the engine's Delete
 // path — each freed way becomes fill-preferred within its set — so the
 // learned adaptive state (shadow directories, miss history, SBAR winner)
 // survives and the refilled cache re-converges without relearning from
@@ -799,24 +806,7 @@ func (c *Cache[K, V]) Flush() int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		c.drainPending(sh)
-		removed := 0
-		sh.rmu.Lock()
-		sh.seq.Add(1) // odd: publication in progress
-		for slot := range sh.entries {
-			if sh.rtags[slot].Load() == 0 {
-				continue
-			}
-			// Recompute (set, tag) from the resident key rather than
-			// unpacking the mirror word: with Sets == 1 the packed form
-			// tag<<1|1 has dropped the tag's top bit.
-			_, set, tag := c.locate(sh.entries[slot].key)
-			sh.eng.Delete(set, tag)
-			sh.rtags[slot].Store(0)
-			sh.entries[slot] = entry[K, V]{} // release references
-			removed++
-		}
-		sh.seq.Add(1)
-		sh.rmu.Unlock()
+		removed := c.vacateWhere(sh, func(*entry[K, V]) bool { return true })
 		sh.resident -= removed
 		sh.mu.Unlock()
 		total += removed
@@ -861,10 +851,36 @@ func (c *Cache[K, V]) sweepLoop() {
 	}
 }
 
+// vacateWhere removes every resident entry of sh that drop selects and
+// returns how many it removed, one set write lock at a time. Caller
+// holds sh.mu.
+func (c *Cache[K, V]) vacateWhere(sh *shard[K, V], drop func(*entry[K, V]) bool) int {
+	removed := 0
+	for set := range sh.locks {
+		sh.locks[set].Lock()
+		for slot := set * c.ways; slot < (set+1)*c.ways; slot++ {
+			e := &sh.entries[slot]
+			if sh.rtags[slot].Load() == 0 || !drop(e) {
+				continue
+			}
+			// Recompute the tag from the resident key rather than
+			// unpacking the mirror word: with Sets == 1 the packed form
+			// tag<<1|1 has dropped the tag's top bit.
+			_, _, tag := c.locate(e.key)
+			sh.eng.Delete(set, tag)
+			sh.rtags[slot].Store(0)
+			*e = entry[K, V]{} // release references
+			removed++
+		}
+		sh.locks[set].Unlock()
+	}
+	return removed
+}
+
 // sweepShard reclaims shard i's expired entries under TryLock — a busy
 // shard is skipped rather than contended (its own writers and drains
-// expire lazily anyway) — in one publication window, mirroring Flush's
-// slot walk. Swept entries count as both Expired and SweepRemoved.
+// expire lazily anyway) — through Flush's slot walk. Swept entries count
+// as both Expired and SweepRemoved.
 func (c *Cache[K, V]) sweepShard(i int) {
 	sh := &c.shards[i]
 	if !sh.mu.TryLock() {
@@ -872,28 +888,9 @@ func (c *Cache[K, V]) sweepShard(i int) {
 	}
 	defer sh.mu.Unlock()
 	now := c.clock.Load()
-	removed := 0
-	sh.rmu.Lock()
-	sh.seq.Add(1) // odd: publication in progress
-	for slot := range sh.entries {
-		if sh.rtags[slot].Load() == 0 {
-			continue
-		}
-		e := &sh.entries[slot]
-		if e.deadline == 0 || now < e.deadline {
-			continue
-		}
-		// Recompute (set, tag) from the resident key rather than
-		// unpacking the mirror word: with Sets == 1 the packed form
-		// tag<<1|1 has dropped the tag's top bit (same as Flush).
-		_, set, tag := c.locate(e.key)
-		sh.eng.Delete(set, tag)
-		sh.rtags[slot].Store(0)
-		sh.entries[slot] = entry[K, V]{} // release references
-		removed++
-	}
-	sh.seq.Add(1)
-	sh.rmu.Unlock()
+	removed := c.vacateWhere(sh, func(e *entry[K, V]) bool {
+		return e.deadline != 0 && now >= e.deadline
+	})
 	sh.resident -= removed
 	sh.expired += uint64(removed)
 	sh.sweepRemoved += uint64(removed)
@@ -966,8 +963,13 @@ func (c *Cache[K, V]) ShardStats(i int) Stats {
 	sh := &c.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	fallback := sh.fallback.Load() // first: each wait counts after its get
+	gets, fastpath := sh.gets.Load(), uint64(0)
+	if c.optimistic {
+		fastpath = gets - fallback
+	}
 	return Stats{
-		Gets:               sh.gets.Load(),
+		Gets:               gets,
 		GetHits:            sh.getHits.Load(),
 		Stores:             sh.stores,
 		StoreHits:          sh.storeHits,
@@ -976,8 +978,8 @@ func (c *Cache[K, V]) ShardStats(i int) Stats {
 		Evictions:          sh.eng.Stats().Evictions,
 		PolicySwitches:     sh.eng.PolicySwitches(),
 		HashCollisions:     sh.collisions.Load(),
-		OptimisticFastpath: sh.fastpath.Load(),
-		OptimisticFallback: sh.fallback.Load(),
+		OptimisticFastpath: fastpath,
+		OptimisticFallback: fallback,
 		PendingHitsDropped: sh.dropped.Load(),
 		Expired:            sh.expired,
 		SweepRemoved:       sh.sweepRemoved,

@@ -1,16 +1,51 @@
 package adaptivekv
 
+import "math/bits"
+
 // Shard-grouped batch operations. A pipelined server parses a burst of
-// requests into one batch and resolves it here with one lock acquisition
-// per shard per chunk instead of one per key: in the optimistic
-// configuration GetBatch takes each shard's read lock once for its whole
-// key group, and SetBatch amortizes the engine lock and the seqlock
-// publication window the same way. Results land at the key's index, so
-// replies can be emitted in request order regardless of shard grouping.
+// requests into one batch and resolves it here one shard group at a time:
+// GetBatch reads each key as Get does and adds the group's counters to
+// the shard once (under StrictOrder it takes the shard lock once), and
+// SetBatch takes the engine lock and drains the ring once per group.
+// Results land at the key's index, so replies can be emitted in request
+// order regardless of shard grouping.
 
 // batchChunk bounds the keys handled per grouping pass so membership
 // fits in one uint64 bitmask; larger batches are processed in chunks.
 const batchChunk = 64
+
+// chunk is one ≤batchChunk slice of a batch, each key hashed once: the
+// grouping passes then split hashes instead of rehashing every remaining
+// key once per shard group.
+type chunk struct {
+	hs   [batchChunk]uint64 // mixed key hashes
+	todo uint64             // keys not yet grouped
+}
+
+func (c *Cache[K, V]) newChunk(keys []K) (ck chunk) {
+	for i, k := range keys {
+		ck.hs[i] = mix64(c.hash(k))
+	}
+	ck.todo = 1<<uint(len(keys)) - 1 // all ones at a full chunk
+	return ck
+}
+
+// nextGroup takes the ungrouped keys that share the lowest one's shard,
+// returning the shard and their bitmask (0 once the chunk is done).
+func (c *Cache[K, V]) nextGroup(ck *chunk) (*shard[K, V], uint64) {
+	if ck.todo == 0 {
+		return nil, 0
+	}
+	sh, _, _ := c.place(ck.hs[bits.TrailingZeros64(ck.todo)])
+	var group uint64
+	for m := ck.todo; m != 0; m &= m - 1 {
+		if s, _, _ := c.place(ck.hs[bits.TrailingZeros64(m)]); s == sh {
+			group |= m & -m
+		}
+	}
+	ck.todo &^= group
+	return sh, group
+}
 
 // GetBatch looks up keys[i] into vals[i], oks[i]. The slices must have
 // equal length (the caller owns and reuses them; GetBatch allocates
@@ -22,10 +57,7 @@ func (c *Cache[K, V]) GetBatch(keys []K, vals []V, oks []bool) {
 		panic("adaptivekv: GetBatch slice lengths differ")
 	}
 	for start := 0; start < len(keys); start += batchChunk {
-		end := start + batchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
+		end := min(start+batchChunk, len(keys))
 		c.getChunk(keys[start:end], vals[start:end], nil, oks[start:end])
 	}
 }
@@ -38,10 +70,7 @@ func (c *Cache[K, V]) GetBatchCas(keys []K, vals []V, casids []uint64, oks []boo
 		panic("adaptivekv: GetBatchCas slice lengths differ")
 	}
 	for start := 0; start < len(keys); start += batchChunk {
-		end := start + batchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
+		end := min(start+batchChunk, len(keys))
 		c.getChunk(keys[start:end], vals[start:end], casids[start:end], oks[start:end])
 	}
 }
@@ -49,43 +78,45 @@ func (c *Cache[K, V]) GetBatchCas(keys []K, vals []V, casids []uint64, oks []boo
 // getChunk resolves one ≤batchChunk key group; casids may be nil when the
 // caller has no use for cas uniques.
 func (c *Cache[K, V]) getChunk(keys []K, vals []V, casids []uint64, oks []bool) {
-	var done uint64
-	for i := range keys {
-		if done&(1<<uint(i)) != 0 {
-			continue
-		}
-		sh, _, _ := c.locate(keys[i])
-		if c.optimistic {
-			sh.rmu.RLock()
-		} else {
+	ck := c.newChunk(keys)
+	for sh, group := c.nextGroup(&ck); group != 0; sh, group = c.nextGroup(&ck) {
+		if !c.optimistic {
 			sh.mu.Lock()
 		}
-		for j := i; j < len(keys); j++ {
-			if done&(1<<uint(j)) != 0 {
-				continue
-			}
-			sh2, set, tag := c.locate(keys[j])
-			if sh2 != sh {
-				continue
-			}
-			done |= 1 << uint(j)
-			sh.gets.Add(1)
+		var hits, waits, drops uint64
+		for m := group; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			_, set, tag := c.place(ck.hs[j])
 			var id uint64
 			if c.optimistic {
-				vals[j], id, oks[j] = c.probeShared(sh, set, tag, keys[j])
-				sh.fastpath.Add(1)
+				var waited bool
+				vals[j], id, oks[j], waited = c.getOptimistic(sh, set, tag, keys[j])
+				if waited {
+					waits++
+				}
 				if !sh.ring.push(uint32(set), tag) {
-					sh.dropped.Add(1)
+					drops++
 				}
 			} else {
 				vals[j], id, oks[j] = c.lookupLocked(sh, set, tag, keys[j])
+			}
+			if oks[j] {
+				hits++
 			}
 			if casids != nil {
 				casids[j] = id
 			}
 		}
+		// gets before fallback: ShardStats derives fastpath from the two.
+		sh.gets.Add(uint64(bits.OnesCount64(group)))
+		sh.getHits.Add(hits)
+		if waits != 0 {
+			sh.fallback.Add(waits)
+		}
+		if drops != 0 {
+			sh.dropped.Add(drops)
+		}
 		if c.optimistic {
-			sh.rmu.RUnlock()
 			c.maybeDrain(sh)
 		} else {
 			sh.mu.Unlock()
@@ -94,68 +125,31 @@ func (c *Cache[K, V]) getChunk(keys []K, vals []V, casids []uint64, oks []bool) 
 }
 
 // SetBatch caches vals[i] under keys[i] with Set's exact per-key
-// semantics, grouped so each shard's engine lock, ring drain, and
-// seqlock publication window are paid once per chunk group rather than
-// once per key. Duplicate keys within a batch behave as sequential Sets
-// (last value wins).
+// semantics, grouped so each shard's engine lock and ring drain are paid
+// once per chunk group rather than once per key. Duplicate keys within a
+// batch behave as sequential Sets (last value wins).
 func (c *Cache[K, V]) SetBatch(keys []K, vals []V) {
 	if len(vals) != len(keys) {
 		panic("adaptivekv: SetBatch slice lengths differ")
 	}
 	for start := 0; start < len(keys); start += batchChunk {
-		end := start + batchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
+		end := min(start+batchChunk, len(keys))
 		c.setChunk(keys[start:end], vals[start:end])
 	}
 }
 
 func (c *Cache[K, V]) setChunk(keys []K, vals []V) {
-	var done uint64
-	for i := range keys {
-		if done&(1<<uint(i)) != 0 {
-			continue
-		}
-		sh, _, _ := c.locate(keys[i])
+	ck := c.newChunk(keys)
+	for sh, group := c.nextGroup(&ck); group != 0; sh, group = c.nextGroup(&ck) {
 		sh.mu.Lock()
 		c.drainPending(sh)
-		// One publication window covers the whole shard group; store and
-		// publish interleave per key so in-batch duplicates and collisions
-		// see each other exactly as sequential Sets would.
-		sh.rmu.Lock()
-		sh.seq.Add(1)
-		for j := i; j < len(keys); j++ {
-			if done&(1<<uint(j)) != 0 {
-				continue
-			}
-			sh2, set, tag := c.locate(keys[j])
-			if sh2 != sh {
-				continue
-			}
-			done |= 1 << uint(j)
-			sh.stores++
-			res := sh.eng.Store(set, tag)
-			slot := set*c.ways + res.Way
-			if res.Hit {
-				switch {
-				case c.expiredDeadline(sh.entries[slot].deadline):
-					sh.expired++ // overwrote a corpse, not a live entry
-				case sh.entries[slot].key != keys[j]:
-					sh.storeHits++
-					sh.collisions.Add(1)
-				default:
-					sh.storeHits++
-				}
-			} else if !res.Evicted {
-				sh.resident++
-			}
-			sh.casSeq++
-			sh.entries[slot] = entry[K, V]{key: keys[j], val: vals[j], casid: sh.casSeq}
-			sh.rtags[slot].Store(tag<<1 | 1)
+		// Store and publish per key, in request order, so in-batch
+		// duplicates and collisions see each other as sequential Sets do.
+		for m := group; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			_, set, tag := c.place(ck.hs[j])
+			c.storeLocked(sh, set, tag, keys[j], vals[j], 0)
 		}
-		sh.seq.Add(1)
-		sh.rmu.Unlock()
 		sh.mu.Unlock()
 	}
 }

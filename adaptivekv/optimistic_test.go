@@ -3,9 +3,11 @@ package adaptivekv
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestPendingRing exercises the ring in isolation: FIFO order, wraparound
@@ -322,4 +324,98 @@ func TestKVZeroAllocsBatch(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { c.SetBatch(keys, vals) }); avg != 0 {
 		t.Errorf("SetBatch: %v allocs per run, want 0", avg)
 	}
+}
+
+// TestKVSetLockIsPerSet pins the scope of a publication lock: a reader
+// holding one set's read lock must not hold up a Set to another set of
+// the same shard.
+func TestKVSetLockIsPerSet(t *testing.T) {
+	c := New[int, int](Config{Shards: 1, Sets: 16, Ways: 4})
+	sh, held, _ := c.locate(0)
+	other := 1
+	for ; ; other++ {
+		if _, set, _ := c.locate(other); set != held {
+			break
+		}
+	}
+	sh.locks[held].RLock()
+	defer sh.locks[held].RUnlock()
+	done := make(chan struct{})
+	go func() {
+		c.Set(other, 1)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Set to another set waited on a held set read lock")
+	}
+}
+
+// TestKVResidentKeyNeverMisses is the -race certificate for the lock-free
+// miss: writers rewrite the values of resident keys that fill one set
+// while readers Get and GetBatch them. The engine updates a resident tag
+// in place, so its way and mirror word never change and no read may miss;
+// a torn or misrouted value shows as one that names another key. Every
+// loop yields: on a host with few CPUs, a writer woken from a lock would
+// otherwise wait out a scheduler quantum behind spinning readers, and
+// the readers, whose every Get queues an engine replay for the writers
+// to drain, would run far longer than the writes they race.
+func TestKVResidentKeyNeverMisses(t *testing.T) {
+	c := New[int, int](Config{Shards: 1, Sets: 16, Ways: 4})
+	_, hot, _ := c.locate(0)
+	var keys []int // exactly Ways keys of one set: full, never evicted
+	for k := 0; len(keys) < 4; k++ {
+		if _, set, _ := c.locate(k); set == hot {
+			keys = append(keys, k)
+			c.Set(k, k<<20)
+		}
+	}
+	var stop atomic.Bool
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 3000; i++ {
+				k := keys[(i+w)%len(keys)]
+				c.Set(k, k<<20|i&0xfffff)
+				runtime.Gosched()
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			vals := make([]int, len(keys))
+			oks := make([]bool, len(keys))
+			for i := 0; !stop.Load(); i++ {
+				runtime.Gosched()
+				k := keys[(i+r)%len(keys)]
+				if v, ok := c.Get(k); !ok || v>>20 != k {
+					t.Errorf("Get(%d) = (%#x, %v), want a value of key %d", k, v, ok, k)
+					return
+				}
+				if i%8 != 0 {
+					continue
+				}
+				c.GetBatch(keys, vals, oks)
+				for j, k := range keys {
+					if !oks[j] || vals[j]>>20 != k {
+						t.Errorf("GetBatch(%d) = (%#x, %v), want a value of key %d", k, vals[j], oks[j], k)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	st := c.Stats()
+	if st.GetHits != st.Gets || st.Gets == 0 {
+		t.Errorf("GetHits %d of Gets %d, want all", st.GetHits, st.Gets)
+	}
+	t.Logf("gets %d, stores %d, fallback %d", st.Gets, st.Stores, st.OptimisticFallback)
 }

@@ -44,16 +44,16 @@ func (r *pendingRing) push(set uint32, tag uint64) bool {
 	pos := r.tail.Load()
 	for {
 		cell := &r.cells[pos&r.mask]
-		seq := cell.cellSeq.Load()
+		cur := cell.cellSeq.Load()
 		switch {
-		case seq == pos:
+		case cur == pos:
 			if r.tail.CompareAndSwap(pos, pos+1) {
 				cell.set, cell.tag = set, tag
 				cell.cellSeq.Store(pos + 1)
 				return true
 			}
 			pos = r.tail.Load()
-		case seq < pos:
+		case cur < pos:
 			// The consumer has not recycled this slot: full.
 			return false
 		default:

@@ -59,7 +59,7 @@ func TestTTLLazyExpiryOptimistic(t *testing.T) {
 	}
 	advanceClock(c, d)
 	// Optimistic readers see the corpse as a miss but cannot reclaim it
-	// (they hold only rmu); Expired is counted later at reclaim.
+	// (they hold only a set read lock); Expired is counted later at reclaim.
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("optimistic Get after deadline hit, want miss")
 	}

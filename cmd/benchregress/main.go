@@ -29,9 +29,13 @@
 // count; a row the host cannot run is skipped, never written:
 //
 //   - kv/Get/contended/{locked,optimistic}/pN: StrictOrder (every Get
-//     takes the shard lock) versus the default optimistic seqlock read
-//     path. Where both p8 rows are measured, optimistic throughput must
-//     be >= minScalingRatio x the locked path.
+//     takes the shard lock) versus the default optimistic read path (a
+//     lock-free miss, or a hit under its set's read lock). Where both p8
+//     rows are measured, optimistic throughput must be >=
+//     minScalingRatio x the locked path.
+//   - kv/GetSet/contended/{locked,optimistic}/pN: the same two paths
+//     under mixed traffic, 3 gets to 1 set over a keyspace twice the
+//     capacity, so sets keep evicting while readers probe the same sets.
 //   - kv/Cas/contended/pN: gets/cas read-modify-write loops. Every
 //     CompareAndSwap takes the shard lock, so the row records what
 //     contended atomic RMW costs next to the plain-read rows.
@@ -140,6 +144,8 @@ func realMain(n, macroN uint64, out string, check bool, tol float64) error {
 		rep.HotPath = append(rep.HotPath,
 			measureContended(n, procs, true),
 			measureContended(n, procs, false),
+			measureContendedGetSet(n, procs, true),
+			measureContendedGetSet(n, procs, false),
 			measureContendedCas(n, procs))
 	}
 	for _, e := range rep.HotPath {
@@ -309,26 +315,47 @@ func measureHistogram(n uint64) Entry {
 	})
 }
 
-// measureContended hammers a single hot shard from procs goroutines.
-// strict=true forces every Get through the shard mutex (the
-// pre-optimization path, kept honest via StrictOrder); strict=false takes
-// the optimistic seqlock read path. One shard is the worst case on
-// purpose: with the default 16 shards, lock contention dilutes and the
-// comparison flatters the locked path.
-func measureContended(n uint64, procs int, strict bool) Entry {
-	mode := "optimistic"
-	if strict {
-		mode = "locked"
-	}
-	c := adaptivekv.New[uint64, uint64](adaptivekv.Config{
+// contendedCache builds the single hot shard the contended rows hammer
+// and fills it with keys 0..keys-1. strict=true forces every Get through
+// the shard mutex (the pre-optimization path, kept honest via
+// StrictOrder); strict=false takes the optimistic read path. One shard
+// is the worst case on purpose: with the default 16 shards, lock
+// contention dilutes and the comparison flatters the locked path.
+func contendedCache(strict bool, keys uint64) (c *adaptivekv.Cache[uint64, uint64], mode string) {
+	c = adaptivekv.New[uint64, uint64](adaptivekv.Config{
 		Shards: 1, Sets: 1024, Ways: 4, StrictOrder: strict,
 	})
-	const keys = 4096
 	for k := uint64(0); k < keys; k++ {
 		c.Set(k, k)
 	}
+	if strict {
+		return c, "locked"
+	}
+	return c, "optimistic"
+}
+
+// measureContended hammers the hot shard with Gets of resident keys.
+func measureContended(n uint64, procs int, strict bool) Entry {
+	const keys = 4096
+	c, mode := contendedCache(strict, keys)
 	return measure(fmt.Sprintf("kv/Get/contended/%s/p%d", mode, procs), n, procs, gateScaling, func(rng uint64) {
 		c.Get(rng % keys)
+	})
+}
+
+// measureContendedGetSet hammers the hot shard with 3 Gets to 1 Set over
+// twice its capacity: misses, evicting stores and hits on sets a writer
+// is publishing to, the mix where readers and writers meet on locks.
+func measureContendedGetSet(n uint64, procs int, strict bool) Entry {
+	const keys = 2 * 4096
+	c, mode := contendedCache(strict, keys)
+	return measure(fmt.Sprintf("kv/GetSet/contended/%s/p%d", mode, procs), n, procs, gateScaling, func(rng uint64) {
+		k := (rng >> 2) % keys
+		if rng&3 == 0 {
+			c.Set(k, rng)
+		} else {
+			c.Get(k)
+		}
 	})
 }
 

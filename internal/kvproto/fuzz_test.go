@@ -64,6 +64,10 @@ func FuzzReaderNext(f *testing.F) {
 		"set k 0 0 nope\r\n",
 		"set k 0 5\r\n",
 		"set k 0 0 99999999999999999999\r\nx\r\n",
+		// Sizes whose drain count once overflowed: past int64 and max
+		// uint64, each followed by a command that must not be eaten.
+		"set k 0 0 9223372036854775808\r\nget a\r\n",
+		"set k 0 0 18446744073709551615\r\nget a\r\n",
 		// Truncations: mid-line, mid-header, mid-chunk, missing terminator.
 		"get fo",
 		"gets fo",

@@ -37,6 +37,12 @@ const (
 	// MaxGetKeys bounds the keys in one multi-key get; the command line
 	// length cap bounds it again in practice.
 	MaxGetKeys = 128
+	// maxDrainBytes is the largest data chunk an oversized set may
+	// announce and still be drained past, memcached's own bound: the
+	// chunk and its CRLF fit a signed 32-bit length. A longer
+	// announcement is not a value that overshot MaxValueBytes but a
+	// stream that cannot be resynchronized.
+	maxDrainBytes = 1<<31 - 1 - 2
 )
 
 // Op identifies a request type.
@@ -181,7 +187,8 @@ var (
 )
 
 // ErrCorrupt means the stream cannot be resynchronized (a set's data chunk
-// did not end in CRLF); the connection must close.
+// did not end in CRLF, or announced more than can be drained); the
+// connection must close.
 var ErrCorrupt = errors.New("kvproto: corrupt stream")
 
 // Reader parses requests from a connection.
@@ -401,8 +408,9 @@ func (rd *Reader) parseKeys(req *Request, rest []byte) error {
 // time above it), and an optional leading '-' marks the value already
 // expired. The cas unique is a full 64-bit decimal; overflow, a missing
 // field, or trailing junk reject the line before any chunk is consumed.
-// On an oversized value the chunk is drained so the error is recoverable;
-// on a missing CRLF terminator the stream is corrupt.
+// On an oversized value the chunk is drained so the error is recoverable,
+// up to maxDrainBytes; past that, or on a missing CRLF terminator, the
+// stream is corrupt.
 func (rd *Reader) parseStore(req *Request, rest []byte, wantCas bool) error {
 	key, rest := nextField(rest)
 	flagsB, rest := nextField(rest)
@@ -436,6 +444,9 @@ func (rd *Reader) parseStore(req *Request, rest []byte, wantCas bool) error {
 	}
 	keyOK := validKey(key)
 	if !keyOK || size > MaxValueBytes {
+		if size > maxDrainBytes {
+			return ErrCorrupt
+		}
 		// Drain the data chunk so the violation stays recoverable.
 		if err := rd.discard(int64(size) + 2); err != nil {
 			return err

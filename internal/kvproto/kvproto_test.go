@@ -159,6 +159,34 @@ func TestReaderRecoverableErrors(t *testing.T) {
 	}
 }
 
+// TestReaderOversizeDrainNeverDesyncs: a set announcing more bytes than
+// MaxValueBytes either drains its chunk and rejects it recoverably, so
+// the next command parses, or ends the stream as corrupt. Sizes near the
+// top of uint64 once overflowed the drain count: one ended the stream
+// with a bufio error, the other drained one byte and ate the next
+// command.
+func TestReaderOversizeDrainNeverDesyncs(t *testing.T) {
+	for _, tc := range []struct {
+		name, input string
+	}{
+		{"past int64", "set k 0 0 9223372036854775808\r\n"},
+		{"max uint64", "set k 0 0 18446744073709551615\r\n"},
+		{"one past the drain bound", "set k 0 0 2147483646\r\n"},
+		{"drainable oversize", "set k 0 0 1048577\r\n" + strings.Repeat("v", 1048577) + "\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			input := tc.input + "get a\r\n"
+			outs, err := parseAll(t, strings.NewReader(input), len(input))
+			recovered := len(outs) == 2 && outs[0].ClientErr != "" &&
+				outs[1].Op == OpGet && outs[1].Key == "a" && outs[1].ClientErr == ""
+			corrupt := len(outs) == 0 && err == ErrCorrupt
+			if !recovered && !corrupt {
+				t.Fatalf("desynchronized: outcomes %+v, then %v", outs, err)
+			}
+		})
+	}
+}
+
 func TestReaderFatalErrors(t *testing.T) {
 	var req Request
 	rd := NewReader(strings.NewReader("set k 0 0 3\r\nabcXY")) // chunk not CRLF-terminated
