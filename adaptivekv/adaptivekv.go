@@ -22,20 +22,15 @@
 // Stats.HashCollisions. With the default hashers the probability of any
 // collision among a million resident keys is below 1e-7.
 //
-// # Read-side scaling
+// # Read path
 //
 // The adaptive policy mutates recency/frequency/shadow state on every
-// hit, which would serialize all readers on the shard lock. Instead, by
-// default Get runs optimistically: it scans an atomic mirror of the set's
-// tags with no lock, confirms a match under that set's read lock (writers
-// lock only the set they publish to), and resolves the value without
-// touching the engine, then pushes a pending access record into a
-// per-shard ring. The next mutation on the shard (or a ¾-full ring)
-// drains the ring into the engine in one batch, so the engine still sees
-// every access — leader-set learning and the paper's guarantee are
-// preserved with bounded staleness. Config.StrictOrder disables the
-// optimistic path for byte-identical serial determinism, and Stats
-// reports the fastpath/fallback/drop counters. See DESIGN.md §11.
+// hit, so every Get takes its shard's mutex and records the access in
+// the engine inline, as the paper's cache does: shadow tags, miss
+// history and the SBAR counters see each hit as it happens, and a serial
+// op sequence produces the same engine state and stats on every run.
+// Reads of different shards proceed in parallel; reads of one shard
+// serialize with its writers. See DESIGN.md §11.
 //
 // Get and Set are allocation-free on the hit path; the hot-path regression
 // harness (cmd/benchregress) enforces this.
@@ -87,17 +82,10 @@ type Config struct {
 	// full tags).
 	ShadowTagBits int
 
-	// StrictOrder disables the optimistic read path: every Get takes the
-	// shard lock and updates the engine inline, so a serial op sequence
-	// produces byte-identical engine state and stats on every run.
-	// Deterministic replay/determinism tests set this; servers should not.
+	// StrictOrder has no effect: every Get takes the shard lock and
+	// updates the engine inline. It stays only because cmd/kvbench still
+	// sets it; it goes when the benchmark stops naming it.
 	StrictOrder bool
-
-	// PendingRing is the per-shard pending-access ring size in records
-	// (power of two ≥ 8; default 1024). Larger rings tolerate longer
-	// read-only streaks before the ¾-full self-drain; a full ring drops
-	// records (counted in Stats.PendingHitsDropped) rather than block.
-	PendingRing int
 
 	// SweepInterval paces the TTL sweeper (default 100ms): each tick
 	// advances the coarse expiry clock and sweeps one shard, so a full
@@ -137,9 +125,6 @@ func (c Config) normalized() Config {
 	if c.ShadowTagBits == 0 {
 		c.ShadowTagBits = 8
 	}
-	if c.PendingRing == 0 {
-		c.PendingRing = 1024
-	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = 100 * time.Millisecond
 	}
@@ -157,9 +142,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Ways <= 0 {
 		panic("adaptivekv: Ways must be positive")
-	}
-	if c.PendingRing < 8 || c.PendingRing&(c.PendingRing-1) != 0 {
-		panic(fmt.Sprintf("adaptivekv: PendingRing %d is not a power of two ≥ 8", c.PendingRing))
 	}
 	if c.Mode == ModeSingle && len(c.Components) != 1 {
 		panic("adaptivekv: ModeSingle takes exactly one component")
@@ -216,24 +198,17 @@ type Stats struct {
 	// touched the colliding entry's recency/frequency, so engine-level
 	// stats diverge from user-visible behavior by exactly this count.
 	HashCollisions uint64
-	// OptimisticFastpath counts optimistic Gets that never waited on a
-	// lock: a lock-free miss, or a hit confirmed under a set read lock
-	// taken at the first try. It is Gets − OptimisticFallback on an
-	// optimistic cache and 0 under StrictOrder.
+	// OptimisticFastpath, OptimisticFallback and PendingHitsDropped
+	// always read 0: Gets have one path, under the shard lock. They stay
+	// only because cmd/kvbench still reads them; they go when the
+	// benchmark stops naming them.
 	OptimisticFastpath uint64
-	// OptimisticFallback counts optimistic Gets whose TryRLock on their
-	// set failed — a writer was publishing to that set — and that then
-	// waited for the read lock.
 	OptimisticFallback uint64
-	// PendingHitsDropped counts deferred access records discarded because
-	// the pending ring was full. Drops lose a little adaptive signal
-	// (never data); readers are never blocked to preserve it.
 	PendingHitsDropped uint64
 	// Expired counts entries vacated because their TTL deadline had
-	// passed — lazily by a Get/Set/Delete that found the corpse, or by
-	// the active sweeper. Each expired entry is counted exactly once, at
-	// the moment its slot is reclaimed; an optimistic read that merely
-	// observes an expired entry (and reports a miss) does not count it.
+	// passed — lazily by a Get/Set/Delete/cas that found the corpse, or
+	// by the active sweeper. Each expired entry is counted exactly once,
+	// at the moment its slot is reclaimed.
 	Expired uint64
 	// SweepRemoved is the subset of Expired reclaimed by the active
 	// sweeper rather than lazily on an access path.
@@ -258,9 +233,6 @@ func (s *Stats) Add(o Stats) {
 	s.Evictions += o.Evictions
 	s.PolicySwitches += o.PolicySwitches
 	s.HashCollisions += o.HashCollisions
-	s.OptimisticFastpath += o.OptimisticFastpath
-	s.OptimisticFallback += o.OptimisticFallback
-	s.PendingHitsDropped += o.PendingHitsDropped
 	s.Expired += o.Expired
 	s.SweepRemoved += o.SweepRemoved
 	s.CasStored += o.CasStored
@@ -284,8 +256,9 @@ func (s Stats) HitRatio() float64 {
 // against the cache's coarse sweeper-updated clock, never a syscall.
 // casid is the entry's compare-and-swap unique: every store path draws a
 // fresh value from the shard's monotonic counter, so any overwrite —
-// plain set, batch set, or winning cas — invalidates outstanding
-// uniques. IDs start at 1; 0 is never issued.
+// plain set or winning cas — invalidates outstanding uniques. IDs start
+// at 1; 0 is never issued, and every vacate zeroes the entry, so a
+// nonzero casid is what marks a slot occupied.
 type entry[K comparable, V any] struct {
 	key      K
 	val      V
@@ -293,54 +266,26 @@ type entry[K comparable, V any] struct {
 	casid    uint64
 }
 
-// shard is one lock stripe. Two kinds of lock split its state:
-//
-//   - mu is the authority lock: the decision engine, the writer-owned
-//     counters, the resident count, and the pending-ring consumer. All
-//     mutations (Set, Delete, batch variants) and all engine reads
-//     (ShardStats, Winner) hold it.
-//   - locks[set] orders the publication of that set's entries and
-//     mirror words against that set's optimistic readers: writers
-//     publish under its write lock, readers copy a matched entry under
-//     its read lock. Ring drains touch only the engine, so they run
-//     under mu alone and never stall readers.
-//
-// Lock order is mu → locks[set]; a set lock is never held across an mu
-// acquisition (notePending's drain uses TryLock after the read lock is
-// released), and no one holds two set locks at once.
-//
-// rtags mirrors the engine's directory tags as atomics, packed tag<<1|1
-// (0 = invalid way), so lock-free readers never touch engine memory.
-// The trailing pad keeps two shards' hot fields off one cache line.
+// shard is one lock stripe: mu guards the decision engine, the entries
+// and every counter, and every operation on the shard holds it. The
+// trailing pad keeps two shards' hot fields off one cache line.
 type shard[K comparable, V any] struct {
-	mu  sync.Mutex
-	eng *core.Engine
+	mu      sync.Mutex
+	eng     *core.Engine
+	entries []entry[K, V] // set*ways+way
 
-	locks   []sync.RWMutex // one per set
-	entries []entry[K, V]  // set*ways+way
-	rtags   []atomic.Uint64
-
-	ring    *pendingRing // nil under StrictOrder
-	drainAt uint64       // ring occupancy that triggers a reader-side drain
-
-	// Writer-owned counters, guarded by mu.
+	gets, getHits     uint64
 	stores, storeHits uint64
 	deletes, delHits  uint64
+	collisions        uint64
 	expired           uint64 // TTL vacates, lazy + swept; counted at reclaim
 	sweepRemoved      uint64 // subset of expired reclaimed by the sweeper
 	resident          int    // maintained incrementally; see Len
 
 	// casSeq is the shard's monotonic cas-unique source: pre-incremented
 	// on every store so IDs start at 1 and never repeat within a shard.
-	// Guarded by mu, like the cas outcome counters below.
 	casSeq                             uint64
 	casStored, casConflicts, casMisses uint64
-
-	// Reader-shared counters, incremented outside mu (fastpath is derived).
-	gets, getHits atomic.Uint64
-	collisions    atomic.Uint64
-	fallback      atomic.Uint64
-	dropped       atomic.Uint64
 
 	_ [64]byte
 }
@@ -348,19 +293,18 @@ type shard[K comparable, V any] struct {
 // Cache is the sharded adaptive key-value cache. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
-	cfg        Config
-	shards     []shard[K, V]
-	hash       func(K) uint64
-	setMask    uint64
-	setShift   uint
-	ways       int
-	optimistic bool
+	cfg      Config
+	shards   []shard[K, V]
+	hash     func(K) uint64
+	setMask  uint64
+	setShift uint
+	ways     int
 
 	// TTL machinery. clock is the coarse expiry clock (unix nanos),
 	// seeded at New and advanced only by sweeper ticks, so the hot-path
 	// deadline check is one atomic load and a compare — never a syscall.
 	// ttlInUse flips true on the first SetTTL with a nonzero deadline and
-	// gates the TTL-aware branches on the locked paths, keeping a cache
+	// gates the TTL-aware branches on the access paths, keeping a cache
 	// that never stores a TTL on its original code paths.
 	clock       atomic.Int64
 	ttlInUse    atomic.Bool
@@ -405,20 +349,11 @@ func New[K comparable, V any](cfg Config, opts ...Option[K, V]) *Cache[K, V] {
 			panic(fmt.Sprintf("adaptivekv: no default hasher for key type %T; use WithHasher", *new(K)))
 		}
 	}
-	// With Sets == 1 the tag spans all 64 hash bits and cannot carry the
-	// mirror's validity bit; fall back to locked reads.
-	c.optimistic = !cfg.StrictOrder && c.setShift > 0
 	g := core.EngineGeometry(cfg.Sets, cfg.Ways)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.eng = core.NewEngine(g, cfg.buildPolicy())
-		sh.locks = make([]sync.RWMutex, cfg.Sets)
 		sh.entries = make([]entry[K, V], cfg.Sets*cfg.Ways)
-		sh.rtags = make([]atomic.Uint64, cfg.Sets*cfg.Ways)
-		if c.optimistic {
-			sh.ring = newPendingRing(cfg.PendingRing)
-			sh.drainAt = uint64(cfg.PendingRing) * 3 / 4
-		}
 	}
 	return c
 }
@@ -442,38 +377,22 @@ func (c *Cache[K, V]) place(h uint64) (sh *shard[K, V], set int, tag uint64) {
 }
 
 // Get returns the value cached under key. The access updates the adaptive
-// machinery (recency, frequency, shadow directories, miss history) —
-// inline under StrictOrder, deferred through the pending ring otherwise —
-// but a miss does not reserve space: read-through callers populate via
-// Set.
+// machinery (recency, frequency, shadow directories, miss history) inline
+// under the shard lock, but a miss does not reserve space: read-through
+// callers populate via Set.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	v, _, ok := c.GetCas(key)
 	return v, ok
 }
 
 // GetCas is Get returning, additionally, the entry's cas unique — the
-// token a later CompareAndSwap must present. On the optimistic path the
-// unique is read under the same set read lock as the value, so the
-// (value, unique) pair is always coherent. A miss returns unique 0,
+// token a later CompareAndSwap must present. A miss returns unique 0,
 // which no resident entry ever carries.
-func (c *Cache[K, V]) GetCas(key K) (v V, id uint64, ok bool) {
+func (c *Cache[K, V]) GetCas(key K) (V, uint64, bool) {
 	sh, set, tag := c.locate(key)
-	sh.gets.Add(1)
-	if c.optimistic {
-		var waited bool
-		v, id, ok, waited = c.getOptimistic(sh, set, tag, key)
-		if waited {
-			sh.fallback.Add(1)
-		}
-		c.notePending(sh, set, tag)
-	} else {
-		sh.mu.Lock()
-		v, id, ok = c.lookupLocked(sh, set, tag, key)
-		sh.mu.Unlock()
-	}
-	if ok {
-		sh.getHits.Add(1)
-	}
+	sh.mu.Lock()
+	v, id, ok := c.lookupLocked(sh, set, tag, key)
+	sh.mu.Unlock()
 	return v, id, ok
 }
 
@@ -484,12 +403,12 @@ func (c *Cache[K, V]) expiredDeadline(d int64) bool {
 	return d != 0 && c.clock.Load() >= d
 }
 
-// expireLocked vacates an expired entry: engine delete, mirror and
-// entry invalidation, and the exactly-once Expired count. Caller holds
-// sh.mu and has verified the slot holds the expired key.
+// expireLocked vacates an expired entry: engine delete, entry
+// invalidation, and the exactly-once Expired count. Caller holds sh.mu
+// and has verified the slot holds the expired key.
 func (c *Cache[K, V]) expireLocked(sh *shard[K, V], set int, tag uint64, slot int) {
 	sh.eng.Delete(set, tag)
-	sh.publish(set, slot, entry[K, V]{}, 0)
+	sh.entries[slot] = entry[K, V]{}
 	sh.expired++
 	sh.resident--
 }
@@ -508,150 +427,32 @@ func (c *Cache[K, V]) reapLocked(sh *shard[K, V], set int, tag uint64, key K) {
 	}
 }
 
-// lookupLocked is the authoritative Get body: engine lookup inline plus
-// key confirmation; the caller counts the hit. Caller holds sh.mu. When
-// TTLs are in play, an expired resident entry is vacated first and the
-// engine then records a genuine miss — leader-set learning sees the
-// access exactly as if the entry had never been there.
+// lookupLocked is the Get body: engine lookup inline, key confirmation
+// and the get/hit counts. Caller holds sh.mu. When TTLs are in play, an
+// expired resident entry is vacated first and the engine then records a
+// genuine miss — leader-set learning sees the access exactly as if the
+// entry had never been there.
 func (c *Cache[K, V]) lookupLocked(sh *shard[K, V], set int, tag uint64, key K) (V, uint64, bool) {
+	sh.gets++
 	c.reapLocked(sh, set, tag, key)
 	if way, ok := sh.eng.Lookup(set, tag); ok {
 		e := &sh.entries[set*c.ways+way]
 		if e.key == key {
+			sh.getHits++
 			return e.val, e.casid, true
 		}
 		// 64-bit hash collision between distinct keys: a user-visible
 		// miss, but the engine has already counted a hit and promoted
 		// the colliding entry. Record the divergence.
-		sh.collisions.Add(1)
+		sh.collisions++
 	}
 	var zero V
 	return zero, 0, false
-}
-
-// probeShared resolves a Get against the set's tag mirror and entries
-// (the caller counts the hit). Caller holds sh.locks[set], which excludes
-// the set's publications, so the plain entry reads are race-free.
-func (c *Cache[K, V]) probeShared(sh *shard[K, V], set int, tag uint64, key K) (V, uint64, bool) {
-	base := set * c.ways
-	packed := tag<<1 | 1
-	for w := 0; w < c.ways; w++ {
-		if sh.rtags[base+w].Load() != packed {
-			continue
-		}
-		e := &sh.entries[base+w]
-		if e.key == key {
-			if c.expiredDeadline(e.deadline) {
-				// Expired corpse: a miss to the caller. Readers hold only a
-				// set read lock, so a writer, the ring drain or the sweeper
-				// reclaims the slot (and counts Expired) later.
-				break
-			}
-			return e.val, e.casid, true
-		}
-		sh.collisions.Add(1)
-		break // a tag occupies at most one way
-	}
-	var zero V
-	return zero, 0, false
-}
-
-// getOptimistic is the scalable read path. A lock-free scan of the set's
-// tag mirror that finds no match is a miss, with no lock and no retry:
-// the engine updates a resident tag in place, so a key resident for the
-// whole scan keeps its way and its mirror word and the scan sees it, and
-// a key that is not was absent at some instant during the scan. A match
-// is confirmed under the set's read lock, which only a publication to
-// the same set excludes; waited reports that TryRLock failed and the
-// reader waited for that publication.
-func (c *Cache[K, V]) getOptimistic(sh *shard[K, V], set int, tag uint64, key K) (v V, id uint64, ok, waited bool) {
-	base := set * c.ways
-	packed := tag<<1 | 1
-	for w := 0; w < c.ways; w++ {
-		if sh.rtags[base+w].Load() == packed {
-			l := &sh.locks[set]
-			if !l.TryRLock() {
-				waited = true
-				l.RLock()
-			}
-			v, id, ok = c.probeShared(sh, set, tag, key)
-			l.RUnlock()
-			return v, id, ok, waited
-		}
-	}
-	return v, 0, false, false
-}
-
-// notePending queues the access for deferred engine replay and self-
-// drains when the ring is running hot and the shard lock happens to be
-// free. A full ring drops the record — adaptive signal is best-effort,
-// reader progress is not.
-func (c *Cache[K, V]) notePending(sh *shard[K, V], set int, tag uint64) {
-	if !sh.ring.push(uint32(set), tag) {
-		sh.dropped.Add(1)
-		return
-	}
-	c.maybeDrain(sh)
-}
-
-// maybeDrain opportunistically drains a ≥¾-full ring without ever
-// blocking: contended shards are drained by their writers anyway.
-func (c *Cache[K, V]) maybeDrain(sh *shard[K, V]) {
-	if sh.ring.occupancy() >= sh.drainAt && sh.mu.TryLock() {
-		c.drainPending(sh)
-		sh.mu.Unlock()
-	}
-}
-
-// drainPending replays queued access records into the decision engine.
-// Caller holds sh.mu. Replay uses Lookup — the fill-free probe — which
-// updates recency/frequency/shadow/history state but never moves
-// directory lines, so non-TTL drains take no set lock and never stall
-// readers. With TTLs in play each record first checks the resident
-// entry's deadline: an expired corpse is vacated (the one set lock the
-// drain ever takes) *before* the replay, so the engine records the
-// miss the optimistic reader actually experienced rather than a hit on
-// a dead entry.
-func (c *Cache[K, V]) drainPending(sh *shard[K, V]) {
-	r := sh.ring
-	if r == nil {
-		return
-	}
-	ttl := c.ttlInUse.Load()
-	for {
-		set, tag, ok := r.pop()
-		if !ok {
-			break
-		}
-		if ttl {
-			if way, found := sh.eng.Find(int(set), tag); found {
-				slot := int(set)*c.ways + way
-				if c.expiredDeadline(sh.entries[slot].deadline) {
-					c.expireLocked(sh, int(set), tag, slot)
-				}
-			}
-		}
-		sh.eng.Lookup(int(set), tag)
-	}
-	r.headPub.Store(r.head)
-}
-
-// publish installs slot's entry and tag mirror under the write lock of
-// set, the set slot belongs to. Caller holds sh.mu; packed is tag<<1|1,
-// or 0 to invalidate.
-func (sh *shard[K, V]) publish(set, slot int, e entry[K, V], packed uint64) {
-	l := &sh.locks[set]
-	l.Lock()
-	sh.entries[slot] = e
-	sh.rtags[slot].Store(packed)
-	l.Unlock()
 }
 
 // Set caches val under key with no expiry, updating in place when key is
 // resident and otherwise filling per the shard's replacement decision —
 // possibly evicting the entry the imitated component policy would evict.
-// Every mutation first drains the pending ring, so the engine decides
-// with all observed accesses applied.
 func (c *Cache[K, V]) Set(key K, val V) { c.SetTTL(key, val, 0) }
 
 // SetTTL is Set with a TTL: deadline is the unix-nanosecond time after
@@ -665,14 +466,12 @@ func (c *Cache[K, V]) SetTTL(key K, val V, deadline int64) {
 	}
 	sh, set, tag := c.locate(key)
 	sh.mu.Lock()
-	c.drainPending(sh)
 	c.storeLocked(sh, set, tag, key, val, deadline)
 	sh.mu.Unlock()
 }
 
 // storeLocked is the body of every store: the engine upsert, the store
-// accounting, a fresh cas unique and the publication. Caller holds sh.mu
-// and has drained the ring.
+// accounting, a fresh cas unique and the entry write. Caller holds sh.mu.
 func (c *Cache[K, V]) storeLocked(sh *shard[K, V], set int, tag uint64, key K, val V, deadline int64) {
 	sh.stores++
 	res := sh.eng.Store(set, tag)
@@ -689,7 +488,7 @@ func (c *Cache[K, V]) storeLocked(sh *shard[K, V], set int, tag uint64, key K, v
 			// Tag hit on a different key: the store legally overwrites
 			// the colliding entry, but the engine saw an in-place update.
 			sh.storeHits++
-			sh.collisions.Add(1)
+			sh.collisions++
 		default:
 			sh.storeHits++
 		}
@@ -697,7 +496,7 @@ func (c *Cache[K, V]) storeLocked(sh *shard[K, V], set int, tag uint64, key K, v
 		sh.resident++ // filled a previously invalid way
 	}
 	sh.casSeq++
-	sh.publish(set, slot, entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}, tag<<1|1)
+	sh.entries[slot] = entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}
 }
 
 // CasResult is the outcome of a CompareAndSwap.
@@ -732,7 +531,6 @@ func (c *Cache[K, V]) CompareAndSwap(key K, val V, casid uint64, deadline int64)
 	sh, set, tag := c.locate(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c.drainPending(sh)
 	c.reapLocked(sh, set, tag, key)
 	way, ok := sh.eng.Lookup(set, tag) // the op's one real engine access
 	if !ok {
@@ -744,7 +542,7 @@ func (c *Cache[K, V]) CompareAndSwap(key K, val V, casid uint64, deadline int64)
 	if e.key != key {
 		// Hash collision: user-visible NOT_FOUND, engine already counted
 		// a hit on the colliding entry (same divergence as Get).
-		sh.collisions.Add(1)
+		sh.collisions++
 		sh.casMisses++
 		return CasNotFound
 	}
@@ -754,7 +552,7 @@ func (c *Cache[K, V]) CompareAndSwap(key K, val V, casid uint64, deadline int64)
 	}
 	sh.casStored++
 	sh.casSeq++
-	sh.publish(set, slot, entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}, tag<<1|1)
+	sh.entries[slot] = entry[K, V]{key: key, val: val, deadline: deadline, casid: sh.casSeq}
 	return CasStored
 }
 
@@ -765,7 +563,6 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	sh, set, tag := c.locate(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c.drainPending(sh)
 	sh.deletes++
 	way, ok := sh.eng.Find(set, tag)
 	if !ok {
@@ -773,7 +570,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	}
 	slot := set*c.ways + way
 	if sh.entries[slot].key != key {
-		sh.collisions.Add(1) // tag present but owned by a colliding key
+		sh.collisions++ // tag present but owned by a colliding key
 		return false
 	}
 	if c.expiredDeadline(sh.entries[slot].deadline) {
@@ -781,7 +578,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 		return false
 	}
 	sh.eng.Delete(set, tag)
-	sh.publish(set, slot, entry[K, V]{}, 0) // release references
+	sh.entries[slot] = entry[K, V]{} // release references
 	sh.delHits++
 	sh.resident--
 	return true
@@ -791,11 +588,10 @@ func (c *Cache[K, V]) Delete(key K) bool {
 // It locks one shard at a time (like the stats collectors), so
 // operations on other shards proceed while a shard is being emptied. A
 // flush racing a writer keeps either nothing or only entries written
-// after that shard was swept; a reader racing it sees each set either
-// full or flushed. Nothing written before Flush started survives it,
-// which is all a cache needs. Entries leave through the engine's Delete
-// path — each freed way becomes fill-preferred within its set — so the
-// learned adaptive state (shadow directories, miss history, SBAR winner)
+// after that shard was swept. Nothing written before Flush started
+// survives it, which is all a cache needs. Entries leave through the
+// engine's Delete path — each freed way becomes fill-preferred within its
+// set — so the learned adaptive state (shadow directories, miss history, SBAR winner)
 // survives and the refilled cache re-converges without relearning from
 // scratch. That asymmetry is deliberate: flushing serves reintegration
 // safety ("cold is safe, stale is not"), and coming back cold in data
@@ -805,7 +601,6 @@ func (c *Cache[K, V]) Flush() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		c.drainPending(sh)
 		removed := c.vacateWhere(sh, func(*entry[K, V]) bool { return true })
 		sh.resident -= removed
 		sh.mu.Unlock()
@@ -852,34 +647,25 @@ func (c *Cache[K, V]) sweepLoop() {
 }
 
 // vacateWhere removes every resident entry of sh that drop selects and
-// returns how many it removed, one set write lock at a time. Caller
-// holds sh.mu.
+// returns how many it removed. Caller holds sh.mu.
 func (c *Cache[K, V]) vacateWhere(sh *shard[K, V], drop func(*entry[K, V]) bool) int {
 	removed := 0
-	for set := range sh.locks {
-		sh.locks[set].Lock()
-		for slot := set * c.ways; slot < (set+1)*c.ways; slot++ {
-			e := &sh.entries[slot]
-			if sh.rtags[slot].Load() == 0 || !drop(e) {
-				continue
-			}
-			// Recompute the tag from the resident key rather than
-			// unpacking the mirror word: with Sets == 1 the packed form
-			// tag<<1|1 has dropped the tag's top bit.
-			_, _, tag := c.locate(e.key)
-			sh.eng.Delete(set, tag)
-			sh.rtags[slot].Store(0)
-			*e = entry[K, V]{} // release references
-			removed++
+	for slot := range sh.entries {
+		e := &sh.entries[slot]
+		if e.casid == 0 || !drop(e) {
+			continue
 		}
-		sh.locks[set].Unlock()
+		_, set, tag := c.locate(e.key)
+		sh.eng.Delete(set, tag)
+		*e = entry[K, V]{} // release references
+		removed++
 	}
 	return removed
 }
 
 // sweepShard reclaims shard i's expired entries under TryLock — a busy
-// shard is skipped rather than contended (its own writers and drains
-// expire lazily anyway) — through Flush's slot walk. Swept entries count
+// shard is skipped rather than contended (its own accesses expire
+// lazily anyway) — through Flush's slot walk. Swept entries count
 // as both Expired and SweepRemoved.
 func (c *Cache[K, V]) sweepShard(i int) {
 	sh := &c.shards[i]
@@ -963,29 +749,21 @@ func (c *Cache[K, V]) ShardStats(i int) Stats {
 	sh := &c.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	fallback := sh.fallback.Load() // first: each wait counts after its get
-	gets, fastpath := sh.gets.Load(), uint64(0)
-	if c.optimistic {
-		fastpath = gets - fallback
-	}
 	return Stats{
-		Gets:               gets,
-		GetHits:            sh.getHits.Load(),
-		Stores:             sh.stores,
-		StoreHits:          sh.storeHits,
-		Deletes:            sh.deletes,
-		DeleteHits:         sh.delHits,
-		Evictions:          sh.eng.Stats().Evictions,
-		PolicySwitches:     sh.eng.PolicySwitches(),
-		HashCollisions:     sh.collisions.Load(),
-		OptimisticFastpath: fastpath,
-		OptimisticFallback: fallback,
-		PendingHitsDropped: sh.dropped.Load(),
-		Expired:            sh.expired,
-		SweepRemoved:       sh.sweepRemoved,
-		CasStored:          sh.casStored,
-		CasConflicts:       sh.casConflicts,
-		CasMisses:          sh.casMisses,
+		Gets:           sh.gets,
+		GetHits:        sh.getHits,
+		Stores:         sh.stores,
+		StoreHits:      sh.storeHits,
+		Deletes:        sh.deletes,
+		DeleteHits:     sh.delHits,
+		Evictions:      sh.eng.Stats().Evictions,
+		PolicySwitches: sh.eng.PolicySwitches(),
+		HashCollisions: sh.collisions,
+		Expired:        sh.expired,
+		SweepRemoved:   sh.sweepRemoved,
+		CasStored:      sh.casStored,
+		CasConflicts:   sh.casConflicts,
+		CasMisses:      sh.casMisses,
 	}
 }
 

@@ -11,63 +11,61 @@ import (
 )
 
 func TestKVCasBasic(t *testing.T) {
-	for _, strict := range []bool{true, false} {
-		c := New[string, int](Config{Shards: 2, Sets: 8, Ways: 4, StrictOrder: strict})
+	c := New[string, int](Config{Shards: 2, Sets: 8, Ways: 4})
+	defer c.Close()
 
-		if _, id, ok := c.GetCas("k"); ok || id != 0 {
-			t.Fatalf("strict=%v: GetCas on empty = (id=%d, ok=%v)", strict, id, ok)
-		}
-		if res := c.CompareAndSwap("k", 1, 1, 0); res != CasNotFound {
-			t.Fatalf("strict=%v: cas on absent key = %v, want CasNotFound", strict, res)
-		}
+	if _, id, ok := c.GetCas("k"); ok || id != 0 {
+		t.Fatalf("GetCas on empty = (id=%d, ok=%v)", id, ok)
+	}
+	if res := c.CompareAndSwap("k", 1, 1, 0); res != CasNotFound {
+		t.Fatalf("cas on absent key = %v, want CasNotFound", res)
+	}
 
-		c.Set("k", 1)
-		v, id, ok := c.GetCas("k")
-		if !ok || v != 1 || id == 0 {
-			t.Fatalf("strict=%v: GetCas = (%d, id=%d, ok=%v), want value 1 with nonzero unique", strict, v, id, ok)
-		}
+	c.Set("k", 1)
+	v, id, ok := c.GetCas("k")
+	if !ok || v != 1 || id == 0 {
+		t.Fatalf("GetCas = (%d, id=%d, ok=%v), want value 1 with nonzero unique", v, id, ok)
+	}
 
-		// Wrong unique: conflict, value untouched.
-		if res := c.CompareAndSwap("k", 99, id+1, 0); res != CasExists {
-			t.Fatalf("strict=%v: cas with wrong unique = %v, want CasExists", strict, res)
-		}
-		if v, _ := c.Get("k"); v != 1 {
-			t.Fatalf("strict=%v: value after refused swap = %d, want 1", strict, v)
-		}
+	// Wrong unique: conflict, value untouched.
+	if res := c.CompareAndSwap("k", 99, id+1, 0); res != CasExists {
+		t.Fatalf("cas with wrong unique = %v, want CasExists", res)
+	}
+	if v, _ := c.Get("k"); v != 1 {
+		t.Fatalf("value after refused swap = %d, want 1", v)
+	}
 
-		// Matching unique: swap applies and consumes the unique.
-		if res := c.CompareAndSwap("k", 2, id, 0); res != CasStored {
-			t.Fatalf("strict=%v: cas with matching unique != CasStored", strict)
-		}
-		v, id2, ok := c.GetCas("k")
-		if !ok || v != 2 || id2 == id || id2 == 0 {
-			t.Fatalf("strict=%v: post-swap GetCas = (%d, id=%d), want value 2 with fresh unique (was %d)", strict, v, id2, id)
-		}
-		if res := c.CompareAndSwap("k", 3, id, 0); res != CasExists {
-			t.Fatalf("strict=%v: replaying a consumed unique = not CasExists", strict)
-		}
+	// Matching unique: swap applies and consumes the unique.
+	if res := c.CompareAndSwap("k", 2, id, 0); res != CasStored {
+		t.Fatal("cas with matching unique != CasStored")
+	}
+	v, id2, ok := c.GetCas("k")
+	if !ok || v != 2 || id2 == id || id2 == 0 {
+		t.Fatalf("post-swap GetCas = (%d, id=%d), want value 2 with fresh unique (was %d)", v, id2, id)
+	}
+	if res := c.CompareAndSwap("k", 3, id, 0); res != CasExists {
+		t.Fatal("replaying a consumed unique = not CasExists")
+	}
 
-		st := c.Stats()
-		if st.CasStored != 1 || st.CasConflicts != 2 || st.CasMisses != 1 {
-			t.Fatalf("strict=%v: cas stats = %d/%d/%d, want 1 stored, 2 conflicts, 1 miss", strict, st.CasStored, st.CasConflicts, st.CasMisses)
-		}
-		if got := st.CasOps(); got != 4 {
-			t.Fatalf("strict=%v: CasOps = %d, want 4", strict, got)
-		}
-		// Accounting isolation: the four cas calls moved neither the get
-		// nor the store tallies — GetCas counts as a get, cas as neither.
-		if st.Gets != 4 {
-			t.Fatalf("strict=%v: Gets = %d, want 4 (cas ops must not count)", strict, st.Gets)
-		}
-		if st.Stores != 1 {
-			t.Fatalf("strict=%v: Stores = %d, want 1 (winning cas must not count)", strict, st.Stores)
-		}
-		c.Close()
+	st := c.Stats()
+	if st.CasStored != 1 || st.CasConflicts != 2 || st.CasMisses != 1 {
+		t.Fatalf("cas stats = %d/%d/%d, want 1 stored, 2 conflicts, 1 miss", st.CasStored, st.CasConflicts, st.CasMisses)
+	}
+	if got := st.CasOps(); got != 4 {
+		t.Fatalf("CasOps = %d, want 4", got)
+	}
+	// Accounting isolation: the four cas calls moved neither the get
+	// nor the store tallies — GetCas counts as a get, cas as neither.
+	if st.Gets != 4 {
+		t.Fatalf("Gets = %d, want 4 (cas ops must not count)", st.Gets)
+	}
+	if st.Stores != 1 {
+		t.Fatalf("Stores = %d, want 1 (winning cas must not count)", st.Stores)
 	}
 }
 
-// TestKVCasUniqueInvalidatedByStore: any overwrite — plain Set or
-// SetBatch — advances the entry's unique, so a cas presenting a unique
+// TestKVCasUniqueInvalidatedByStore: any overwrite advances the entry's
+// unique, so a cas presenting a unique
 // fetched before the store conflicts instead of clobbering the newer
 // value. This is the property that makes gets/cas a safe
 // read-modify-write primitive under concurrent writers.
@@ -89,12 +87,12 @@ func TestKVCasUniqueInvalidatedByStore(t *testing.T) {
 	}
 
 	_, id, _ = c.GetCas("k")
-	c.SetBatch([]string{"k"}, []int{3})
+	c.Set("k", 3)
 	if res := c.CompareAndSwap("k", 99, id, 0); res != CasExists {
-		t.Fatalf("cas after interleaved SetBatch = %v, want CasExists", res)
+		t.Fatalf("cas after a second interleaved Set = %v, want CasExists", res)
 	}
 	if v, _ := c.Get("k"); v != 3 {
-		t.Fatalf("value = %d, want the interleaved SetBatch's 3", v)
+		t.Fatalf("value = %d, want the second interleaved Set's 3", v)
 	}
 }
 
@@ -102,69 +100,65 @@ func TestKVCasUniqueInvalidatedByStore(t *testing.T) {
 // the caller presents the unique that was valid while the entry lived —
 // and the corpse is reclaimed with exactly-once Expired accounting.
 func TestKVCasTTLCorpse(t *testing.T) {
-	for _, strict := range []bool{true, false} {
-		c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4, StrictOrder: strict})
+	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
+	defer c.Close()
 
-		d := time.Now().Add(time.Hour).UnixNano()
-		c.SetTTL("k", 1, d)
-		_, id, ok := c.GetCas("k")
-		if !ok || id == 0 {
-			t.Fatalf("strict=%v: GetCas before deadline = (id=%d, ok=%v)", strict, id, ok)
-		}
-		advanceClock(c, d)
-		if res := c.CompareAndSwap("k", 2, id, 0); res != CasNotFound {
-			t.Fatalf("strict=%v: cas on TTL corpse = %v, want CasNotFound", strict, res)
-		}
-		st := c.Stats()
-		if st.CasMisses != 1 || st.Expired != 1 {
-			t.Fatalf("strict=%v: CasMisses=%d Expired=%d, want 1 and 1", strict, st.CasMisses, st.Expired)
-		}
-		if c.Len() != 0 {
-			t.Fatalf("strict=%v: Len = %d, want corpse reclaimed", strict, c.Len())
-		}
-		// A cas-applied deadline expires like a SetTTL one.
-		c.SetTTL("k", 1, 0)
-		_, id, _ = c.GetCas("k")
-		d2 := time.Now().Add(time.Hour).UnixNano()
-		if res := c.CompareAndSwap("k", 2, id, d2); res != CasStored {
-			t.Fatalf("strict=%v: cas with deadline = %v, want CasStored", strict, res)
-		}
-		advanceClock(c, d2)
-		if _, ok := c.Get("k"); ok {
-			t.Fatalf("strict=%v: value lived past its cas-applied deadline", strict)
-		}
-		c.Close()
+	d := time.Now().Add(time.Hour).UnixNano()
+	c.SetTTL("k", 1, d)
+	_, id, ok := c.GetCas("k")
+	if !ok || id == 0 {
+		t.Fatalf("GetCas before deadline = (id=%d, ok=%v)", id, ok)
+	}
+	advanceClock(c, d)
+	if res := c.CompareAndSwap("k", 2, id, 0); res != CasNotFound {
+		t.Fatalf("cas on TTL corpse = %v, want CasNotFound", res)
+	}
+	st := c.Stats()
+	if st.CasMisses != 1 || st.Expired != 1 {
+		t.Fatalf("CasMisses=%d Expired=%d, want 1 and 1", st.CasMisses, st.Expired)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d, want corpse reclaimed", c.Len())
+	}
+	// A cas-applied deadline expires like a SetTTL one.
+	c.SetTTL("k", 1, 0)
+	_, id, _ = c.GetCas("k")
+	d2 := time.Now().Add(time.Hour).UnixNano()
+	if res := c.CompareAndSwap("k", 2, id, d2); res != CasStored {
+		t.Fatalf("cas with deadline = %v, want CasStored", res)
+	}
+	advanceClock(c, d2)
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("value lived past its cas-applied deadline")
 	}
 }
 
 // TestKVCasBatchEquivalence: GetBatchCas returns per key exactly what
 // GetCas returns — value, unique, and hit in one coherent window.
 func TestKVCasBatchEquivalence(t *testing.T) {
-	for _, strict := range []bool{true, false} {
-		c := New[uint64, uint64](Config{Shards: 4, Sets: 16, Ways: 4, StrictOrder: strict})
-		const n = 96
-		for k := uint64(0); k < n; k += 2 { // evens resident, odds missing
-			c.Set(k, k*10)
+	c := New[uint64, uint64](Config{Shards: 4, Sets: 16, Ways: 4})
+	defer c.Close()
+	const n = 96
+	for k := uint64(0); k < n; k += 2 { // evens resident, odds missing
+		c.Set(k, k*10)
+	}
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	vals := make([]uint64, n)
+	casids := make([]uint64, n)
+	oks := make([]bool, n)
+	c.GetBatchCas(keys, vals, casids, oks)
+	for i, k := range keys {
+		wv, wid, wok := c.GetCas(k)
+		if oks[i] != wok || vals[i] != wv && wok || casids[i] != wid {
+			t.Fatalf("key %d: batch (%d, id=%d, %v) != GetCas (%d, id=%d, %v)",
+				k, vals[i], casids[i], oks[i], wv, wid, wok)
 		}
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = uint64(i)
+		if oks[i] && casids[i] == 0 || !oks[i] && casids[i] != 0 {
+			t.Fatalf("key %d: hit=%v with unique %d", k, oks[i], casids[i])
 		}
-		vals := make([]uint64, n)
-		casids := make([]uint64, n)
-		oks := make([]bool, n)
-		c.GetBatchCas(keys, vals, casids, oks)
-		for i, k := range keys {
-			wv, wid, wok := c.GetCas(k)
-			if oks[i] != wok || vals[i] != wv && wok || casids[i] != wid {
-				t.Fatalf("strict=%v key %d: batch (%d, id=%d, %v) != GetCas (%d, id=%d, %v)",
-					strict, k, vals[i], casids[i], oks[i], wv, wid, wok)
-			}
-			if oks[i] && casids[i] == 0 || !oks[i] && casids[i] != 0 {
-				t.Fatalf("strict=%v key %d: hit=%v with unique %d", strict, k, oks[i], casids[i])
-			}
-		}
-		c.Close()
 	}
 }
 

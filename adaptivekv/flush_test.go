@@ -10,9 +10,8 @@ import (
 // preserves the operation counters, and leaves the cache fully usable.
 func TestKVFlush(t *testing.T) {
 	for _, cfg := range []Config{
-		{Shards: 2, Sets: 16, Ways: 4},                    // optimistic path
-		{Shards: 2, Sets: 16, Ways: 4, StrictOrder: true}, // locked path
-		{Shards: 1, Sets: 1, Ways: 8, Mode: ModeSingle},   // Sets==1: packed tag lost its top bit
+		{Shards: 2, Sets: 16, Ways: 4},
+		{Shards: 1, Sets: 1, Ways: 8, Mode: ModeSingle}, // Sets==1: the tag spans all 64 hash bits
 		{Shards: 4, Sets: 8, Ways: 2, Mode: ModeSingle, Components: []string{"LRU"}},
 	} {
 		t.Run(fmt.Sprintf("shards=%d sets=%d strict=%v", cfg.Shards, cfg.Sets, cfg.StrictOrder), func(t *testing.T) {

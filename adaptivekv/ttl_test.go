@@ -15,8 +15,10 @@ func advanceClock[K comparable, V any](c *Cache[K, V], past int64) {
 	c.clock.Store(past + 1)
 }
 
+// TestTTLLazyExpiryStrictOrder: a Get that finds a TTL corpse reports a
+// miss and reclaims the slot itself, counting Expired exactly once.
 func TestTTLLazyExpiryStrictOrder(t *testing.T) {
-	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4, StrictOrder: true})
+	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
 	defer c.Close()
 
 	d := time.Now().Add(time.Hour).UnixNano()
@@ -48,60 +50,34 @@ func TestTTLLazyExpiryStrictOrder(t *testing.T) {
 	}
 }
 
-func TestTTLLazyExpiryOptimistic(t *testing.T) {
-	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
-	defer c.Close()
-
-	d := time.Now().Add(time.Hour).UnixNano()
-	c.SetTTL("k", 7, d)
-	if v, ok := c.Get("k"); !ok || v != 7 {
-		t.Fatalf("Get before deadline = (%d, %v), want (7, true)", v, ok)
-	}
-	advanceClock(c, d)
-	// Optimistic readers see the corpse as a miss but cannot reclaim it
-	// (they hold only a set read lock); Expired is counted later at reclaim.
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("optimistic Get after deadline hit, want miss")
-	}
-	// A write to the same shard drains the pending ring, which vacates
-	// the corpse and records the engine miss.
-	c.Set("other", 1)
-	st := c.Stats()
-	if st.Expired != 1 {
-		t.Fatalf("Expired = %d, want 1 after drain reclaim", st.Expired)
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("Get after reclaim hit")
-	}
-}
-
 func TestTTLGetBatchExpiry(t *testing.T) {
-	for _, strict := range []bool{true, false} {
-		c := New[string, int](Config{Shards: 2, Sets: 8, Ways: 4, StrictOrder: strict})
-		d := time.Now().Add(time.Hour).UnixNano()
-		c.SetTTL("dead", 1, d)
-		c.SetTTL("live", 2, 0)
-		advanceClock(c, d)
+	c := New[string, int](Config{Shards: 2, Sets: 8, Ways: 4})
+	defer c.Close()
+	d := time.Now().Add(time.Hour).UnixNano()
+	c.SetTTL("dead", 1, d)
+	c.SetTTL("live", 2, 0)
+	advanceClock(c, d)
 
-		keys := []string{"dead", "live", "missing"}
-		vals := make([]int, len(keys))
-		oks := make([]bool, len(keys))
-		c.GetBatch(keys, vals, oks)
-		if oks[0] {
-			t.Fatalf("strict=%v: expired key hit in GetBatch", strict)
-		}
-		if !oks[1] || vals[1] != 2 {
-			t.Fatalf("strict=%v: live key = (%d, %v), want (2, true)", strict, vals[1], oks[1])
-		}
-		if oks[2] {
-			t.Fatalf("strict=%v: missing key hit", strict)
-		}
-		c.Close()
+	keys := []string{"dead", "live", "missing"}
+	vals := make([]int, len(keys))
+	oks := make([]bool, len(keys))
+	c.GetBatch(keys, vals, oks)
+	if oks[0] {
+		t.Fatal("expired key hit in GetBatch")
+	}
+	if !oks[1] || vals[1] != 2 {
+		t.Fatalf("live key = (%d, %v), want (2, true)", vals[1], oks[1])
+	}
+	if oks[2] {
+		t.Fatal("missing key hit")
+	}
+	if st := c.Stats(); st.Expired != 1 {
+		t.Fatalf("Expired = %d, want 1 (GetBatch reclaims the corpse)", st.Expired)
 	}
 }
 
 func TestTTLSetOverCorpseCountsExpiredNotStoreHit(t *testing.T) {
-	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4, StrictOrder: true})
+	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
 	defer c.Close()
 
 	d := time.Now().Add(time.Hour).UnixNano()
@@ -124,7 +100,7 @@ func TestTTLSetOverCorpseCountsExpiredNotStoreHit(t *testing.T) {
 }
 
 func TestTTLDeleteOfCorpse(t *testing.T) {
-	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4, StrictOrder: true})
+	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
 	defer c.Close()
 
 	d := time.Now().Add(time.Hour).UnixNano()
@@ -143,7 +119,7 @@ func TestTTLDeleteOfCorpse(t *testing.T) {
 }
 
 func TestTTLImmediateExpiry(t *testing.T) {
-	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4, StrictOrder: true})
+	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
 	defer c.Close()
 
 	// Deadline 1 is the already-expired sentinel (kvproto.DeadlineNanos
@@ -159,7 +135,7 @@ func TestTTLImmediateExpiry(t *testing.T) {
 
 func TestTTLSweeperReclaims(t *testing.T) {
 	c := New[string, int](Config{
-		Shards: 2, Sets: 8, Ways: 4, StrictOrder: true,
+		Shards: 2, Sets: 8, Ways: 4,
 		SweepInterval: time.Millisecond,
 	})
 	defer c.Close()
@@ -201,7 +177,7 @@ func TestTTLSweeperReclaims(t *testing.T) {
 }
 
 func TestTTLFlushPlusExpiryNoDoubleCount(t *testing.T) {
-	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4, StrictOrder: true})
+	c := New[string, int](Config{Shards: 1, Sets: 8, Ways: 4})
 	defer c.Close()
 
 	d := time.Now().Add(time.Hour).UnixNano()

@@ -60,8 +60,6 @@ func main() {
 		grace    = flag.Duration("drain", 5*time.Second, "shutdown drain period")
 		maxConns = flag.Int("max-conns", 0, "max concurrent connections; beyond this new arrivals are shed with SERVER_ERROR busy (0 = unlimited)")
 		maxItem  = flag.Int("max-item-size", kvproto.MaxValueBytes, "largest accepted value in bytes (admission bound under the protocol's 1 MiB cap)")
-		strict   = flag.Bool("strict-order", false, "serialize every Get under the shard lock (disables optimistic reads; byte-identical serial semantics)")
-		pendRing = flag.Int("pending-ring", 0, "per-shard deferred-access ring size, power of two (0 = default 1024; ignored under -strict-order)")
 	)
 	flag.Parse()
 
@@ -73,8 +71,6 @@ func main() {
 		Components:    strings.Split(*comps, ","),
 		LeaderSets:    *leaders,
 		ShadowTagBits: *tagBits,
-		StrictOrder:   *strict,
-		PendingRing:   *pendRing,
 	}
 	srv := kvserver.New(kvserver.Config{
 		Cache:        cfg,

@@ -58,23 +58,6 @@ func TestCompareRefusesUnrecordedParallelism(t *testing.T) {
 	}
 }
 
-func TestCheckScaling(t *testing.T) {
-	locked := Entry{Name: "kv/Get/contended/locked/p8", AccessesPerSec: 10e6, Parallelism: 8, Gate: gateScaling}
-	opt := func(accPerSec float64) Entry {
-		return Entry{Name: "kv/Get/contended/optimistic/p8", AccessesPerSec: accPerSec, Parallelism: 8, Gate: gateScaling}
-	}
-	if err := checkScaling([]Entry{locked, opt(31e6)}, 8); err != nil {
-		t.Errorf("3.1x at p8 failed the %.1fx floor: %v", minScalingRatio, err)
-	}
-	if err := checkScaling([]Entry{locked, opt(29e6)}, 8); err == nil {
-		t.Errorf("2.9x at p8 passed the %.1fx floor", minScalingRatio)
-	}
-	// A host with fewer than 8 CPUs measures no p8 rows: nothing to gate.
-	if err := checkScaling([]Entry{{Name: "kv/Get", Parallelism: 1}}, 2); err != nil {
-		t.Errorf("missing p8 rows: %v", err)
-	}
-}
-
 // TestMeasureSerialRowDoesNotAllocate pins the harness itself: a
 // one-goroutine row runs on the caller, so an allocation-free loop
 // records 0 allocs/access.

@@ -310,11 +310,11 @@ func TestEnginePolicySwitches(t *testing.T) {
 	}
 }
 
-// TestEngineDeferredLookupReplay pins the property the adaptivekv
-// optimistic read path is built on: Lookups recorded into a ring and
-// replayed in order before the next mutation leave the engine in exactly
-// the state inline recording would have — same directory stats, same
-// SBAR winner, same switch count. Lookup must feed the policy's
+// TestEngineDeferredLookupReplay pins an engine property any deferred
+// hit recording would rest on: Lookups recorded into a ring and replayed
+// in order before the next mutation leave the engine in exactly the
+// state inline recording would have — same directory stats, same SBAR
+// winner, same switch count. Lookup must feed the policy's
 // observation hooks on hits and misses alike (shadow arrays and miss
 // history learn from both), and replay order, not replay timing, is
 // what the learning depends on.

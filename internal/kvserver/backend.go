@@ -114,9 +114,6 @@ func (b cacheBackend) WriteStats(w *bufio.Writer) {
 	kvproto.WriteStat(w, "policy_switches", st.PolicySwitches)
 	kvproto.WriteStat(w, "hash_collisions", st.HashCollisions)
 	kvproto.WriteStat(w, "flushes", s.m.flushes.Load())
-	kvproto.WriteStat(w, "optimistic_get_fastpath", st.OptimisticFastpath)
-	kvproto.WriteStat(w, "optimistic_get_fallback", st.OptimisticFallback)
-	kvproto.WriteStat(w, "pending_hits_dropped", st.PendingHitsDropped)
 	kvproto.WriteStat(w, "expired", st.Expired)
 	kvproto.WriteStat(w, "sweep_removed", st.SweepRemoved)
 	kvproto.WriteStat(w, "sweep_passes", s.cache.SweepPasses())

@@ -56,7 +56,7 @@ func TestCasEndToEnd(t *testing.T) {
 	}
 
 	// A pipelined gets on the same connection returns the same unique the
-	// synchronous one did — the set read lock reads (value, unique)
+	// synchronous one did — the shard lock reads (value, unique)
 	// coherently.
 	c.SendGets([]byte("k"))
 	if err := c.Flush(); err != nil {

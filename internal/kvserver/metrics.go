@@ -164,12 +164,6 @@ func (s *Server) collectRuntime(e *metrics.Expo) {
 	e.Sample("adaptivekv_policy_switches_total", "", float64(agg.PolicySwitches))
 	e.Family("adaptivekv_hash_collisions_total", "counter", "tag hits on entries owned by a different key")
 	e.Sample("adaptivekv_hash_collisions_total", "", float64(agg.HashCollisions))
-	e.Family("adaptivekv_optimistic_get_fastpath_total", "counter", "optimistic gets that never waited on a lock")
-	e.Sample("adaptivekv_optimistic_get_fastpath_total", "", float64(agg.OptimisticFastpath))
-	e.Family("adaptivekv_optimistic_get_fallback_total", "counter", "optimistic gets that waited on their set read lock behind a writer")
-	e.Sample("adaptivekv_optimistic_get_fallback_total", "", float64(agg.OptimisticFallback))
-	e.Family("adaptivekv_pending_hits_dropped_total", "counter", "deferred access records dropped on pending-ring overflow")
-	e.Sample("adaptivekv_pending_hits_dropped_total", "", float64(agg.PendingHitsDropped))
 	e.Family("kv_expired_total", "counter", "entries vacated because their TTL deadline passed (lazy + swept)")
 	e.Sample("kv_expired_total", "", float64(agg.Expired))
 	e.Family("kv_ttl_sweep_removed_total", "counter", "expired entries reclaimed by the active sweeper")

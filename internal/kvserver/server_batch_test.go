@@ -84,8 +84,8 @@ func TestPipelinedOrderingMixedBurst(t *testing.T) {
 
 // TestMultigetMetrics drives the typed client's MultiGet and checks the
 // serving-path instruments: per-key latency samples, the batched-ops
-// histogram, and the optimistic/vectored counters appearing in both the
-// stats command and the Prometheus exposition.
+// histogram, and the vectored-write counter appearing in both the stats
+// command and the Prometheus exposition.
 func TestMultigetMetrics(t *testing.T) {
 	srv, ln := start(t, Config{Cache: smallCache()})
 	defer srv.Shutdown(ln, time.Second)
@@ -126,19 +126,11 @@ func TestMultigetMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"optimistic_get_fastpath", "optimistic_get_fallback",
-		"pending_hits_dropped", "vectored_writes"} {
-		if _, ok := st[k]; !ok {
-			t.Errorf("stats reply missing %q", k)
-		}
+	if _, ok := st["vectored_writes"]; !ok {
+		t.Error(`stats reply missing "vectored_writes"`)
 	}
 	if st["cmd_get"] != "8" {
 		t.Errorf("stats cmd_get = %q, want 8", st["cmd_get"])
-	}
-	// smallCache has Sets>1 and no StrictOrder, so every one of the 8
-	// batched gets must have resolved on the optimistic path.
-	if st["optimistic_get_fastpath"] != "8" {
-		t.Errorf("optimistic_get_fastpath = %q, want 8", st["optimistic_get_fastpath"])
 	}
 
 	var expo bytes.Buffer
@@ -147,9 +139,7 @@ func TestMultigetMetrics(t *testing.T) {
 	}
 	out := expo.String()
 	for _, fam := range []string{
-		"adaptivekv_optimistic_get_fastpath_total 8",
-		"adaptivekv_optimistic_get_fallback_total 0",
-		"adaptivekv_pending_hits_dropped_total 0",
+		`adaptivekv_ops_total{op="get"} 8`,
 		"kv_vectored_writes_total 0",
 		"kv_batched_ops_per_flush_count",
 	} {
