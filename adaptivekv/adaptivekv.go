@@ -591,9 +591,9 @@ func (c *Cache[K, V]) Delete(key K) bool {
 // after that shard was swept. Nothing written before Flush started
 // survives it, which is all a cache needs. Entries leave through the
 // engine's Delete path — each freed way becomes fill-preferred within its
-// set — so the learned adaptive state (shadow directories, miss history, SBAR winner)
-// survives and the refilled cache re-converges without relearning from
-// scratch. That asymmetry is deliberate: flushing serves reintegration
+// set — so the learned adaptive state (shadow directories, miss history,
+// SBAR winner) survives and the refilled cache re-converges without
+// relearning from scratch. That asymmetry is deliberate: flushing serves reintegration
 // safety ("cold is safe, stale is not"), and coming back cold in data
 // but warm in policy is the best legal restart.
 func (c *Cache[K, V]) Flush() int {
