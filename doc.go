@@ -26,10 +26,10 @@
 //     could consume its own unique and report a false EXISTS).
 //   - internal/kvcluster — the routing tier: seeded consistent-hash ring,
 //     per-node connection pools with failure-threshold ejection and probed
-//     reintegration, scatter-gather multi-key gets, optional R=2
-//     replication (sync-owner writes with best-effort replica fan-out and
-//     read failover in ring order, each in one helper;
-//     flush-on-reintegrate), node-local cas
+//     reintegration, scatter-gather gets (single-key reads are gathers
+//     of one key), optional R=2 replication (sync-owner writes with
+//     best-effort replica fan-out, one retry pass on a failed read's next
+//     live owner, flush-on-reintegrate), node-local cas
 //     uniques (cas gates on the sync owner; a unique that survived a
 //     failover answers EXISTS, never a lost update), and the Router:
 //     kvserver's request loop over the Cluster, answering multi-key get

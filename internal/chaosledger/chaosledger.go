@@ -15,7 +15,10 @@ import (
 	"time"
 )
 
-// Splitmix64 scrambles a counter into an independent-looking draw.
+// Splitmix64 is the finalizer from Vigna's SplitMix64: it scrambles a
+// counter into an independent-looking draw. kvcluster's ring finalizes
+// its key and vnode hashes with it, so placement depends on these
+// constants (TestRingGoldenPlacement pins them).
 func Splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

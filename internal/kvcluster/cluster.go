@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaosledger"
 	"repro/internal/kvproto"
 	"repro/internal/metrics"
 )
@@ -36,9 +37,10 @@ type Config struct {
 	// replica write counted as divergence. A set's replica copies ride
 	// its run's scatter, concurrently with the sync copy (SetBatch); a
 	// cas or delete copies to the replicas only after the sync owner
-	// acks (write). Reads route to the primary and fail over to the next
-	// live owner when it is ejected or fails, so a single node loss costs
-	// hit ratio, never availability.
+	// acks (write). A read goes to its key's first live owner, and a key
+	// whose owner fails mid-op gets one retry on its next live owner
+	// (gather), so a single node loss costs hit ratio, never
+	// availability.
 	Replicas int
 
 	// DisableReintegrationFlush skips the flush_all barrier the cluster
@@ -143,7 +145,7 @@ func newClusterMetrics(reg *metrics.Registry, nodes []string) *clusterMetrics {
 	for i, addr := range nodes {
 		m.nodeRTT[i] = reg.Histogram("kvcluster_node_rtt_seconds", `node="`+addr+`"`, "backend round-trip time, ops and probes")
 	}
-	m.fanout = reg.HistogramUnitless("kvcluster_fanout_nodes", "", "backend nodes touched per multi-key get")
+	m.fanout = reg.HistogramUnitless("kvcluster_fanout_nodes", "", "backend nodes touched per get or gets scatter")
 	for i, name := range ixNames {
 		m.routed[i] = reg.Counter("kvcluster_ops_routed_total", `op="`+name+`"`, "operations routed to an owner node")
 	}
@@ -177,7 +179,7 @@ type Cluster struct {
 	pools []*nodePool
 	m     *clusterMetrics
 
-	scatters sync.Pool // *scatter, reused across MultiGet calls
+	scatters sync.Pool // *scatter, reused by every get, gets and set run, single keys too
 
 	// writeLocks serialize a replicated cas or delete with its replica
 	// copies, per key stripe (write).
@@ -209,10 +211,10 @@ func New(cfg Config) (*Cluster, error) {
 		rcfg.Counters = &cl.m.backend
 		// Decorrelate each connection's backoff jitter while keeping the
 		// whole schedule a function of cfg.Seed.
-		base := splitmix64(cfg.Seed ^ fnv1a(cfg.Seed, []byte(addr)))
+		base := chaosledger.Splitmix64(cfg.Seed ^ fnv1a(cfg.Seed, []byte(addr)))
 		mkSeed := base
 		mk := func() *kvproto.ReconnectClient {
-			mkSeed = splitmix64(mkSeed)
+			mkSeed = chaosledger.Splitmix64(mkSeed)
 			return kvproto.NewReconnect(addr, withSeed(rcfg, mkSeed))
 		}
 		cl.pools = append(cl.pools, newNodePool(addr, i, cfg.PoolSize,
@@ -289,7 +291,7 @@ func (cl *Cluster) Close() {
 // probeSeed derives one node's probe-client seed from the cluster seed,
 // decorrelated from the pool clients' seeds by the "probe" tag.
 func probeSeed(seed uint64, addr string) uint64 {
-	return splitmix64(seed ^ fnv1a(seed, []byte(addr)) ^ 0x70726f6265) // "probe"
+	return chaosledger.Splitmix64(seed ^ fnv1a(seed, []byte(addr)) ^ 0x70726f6265) // "probe"
 }
 
 // probePhase is a prober's initial delay: a deterministic per-node
@@ -301,7 +303,7 @@ func probePhase(seed uint64, interval time.Duration) time.Duration {
 	if interval <= 0 {
 		return 0
 	}
-	return time.Duration(splitmix64(seed) % uint64(interval))
+	return time.Duration(chaosledger.Splitmix64(seed) % uint64(interval))
 }
 
 // needsReintegrationFlush reports whether a recovered node must be
@@ -427,8 +429,9 @@ func nodeDown(p *nodePool) error { return fmt.Errorf("%w: %s", ErrNodeDown, p.ad
 // trip into the node's RTT histogram, returns the client, and feeds the
 // outcome to node health. It is the only place an operation touches a
 // pool. A client idle longer than idleRedial re-dials before fn runs,
-// reusing the clock read that starts the RTT. A checkout refused because the node is ejected returns the bare
-// ErrNodeDown without running fn or touching health.
+// reusing the clock read that starts the RTT. A checkout refused
+// because the node is ejected returns the bare ErrNodeDown without
+// running fn or touching health.
 func (cl *Cluster) call(p *nodePool, fn func(*kvproto.ReconnectClient) error) error {
 	pc, err := p.get()
 	if err != nil {
@@ -444,44 +447,6 @@ func (cl *Cluster) call(p *nodePool, fn func(*kvproto.ReconnectClient) error) er
 	p.put(pc)
 	cl.observe(p, err)
 	return err
-}
-
-// read runs a single-key read (op ix) through key's replica set in ring
-// order: the primary first, failing over to the next live owner when an
-// owner is ejected or fails mid-op, so fn may run on several owners;
-// on success the caller sees the last run's results. A recoverable
-// protocol rejection fails at once: every replica would reject the
-// request identically, so it is not retried sideways. With the whole
-// replica set down the read fails fast with ErrNodeDown.
-func (cl *Cluster) read(ix int, key []byte, fn func(*kvproto.ReconnectClient) error) error {
-	cl.m.routed[ix].Inc()
-	var ownBuf [8]int
-	var lastErr error
-	for ai, o := range cl.ownersFor(ownBuf[:0], key) {
-		p := cl.pools[o]
-		err := ErrNodeDown
-		if !p.ejected.Load() {
-			if ai > 0 {
-				cl.m.failoverReads.Inc()
-			}
-			if err = cl.call(p, fn); err == nil {
-				return nil
-			}
-		}
-		if err == ErrNodeDown {
-			// Ejected, possibly between the check and the checkout.
-			if lastErr == nil {
-				lastErr = nodeDown(p)
-			}
-			continue
-		}
-		lastErr = fmt.Errorf("kvcluster: %s via %s: %w", ixNames[ix], p.addr, err)
-		if kvproto.Recoverable(err) && !kvproto.IsBusy(err) {
-			break
-		}
-	}
-	cl.m.failed[ix].Inc()
-	return lastErr
 }
 
 // write runs a cas or delete (op ix) under the sync-owner contract: do
@@ -553,16 +518,11 @@ func (cl *Cluster) write(ix int, key []byte, do func(*kvproto.ReconnectClient) e
 	return nil
 }
 
-// Get fetches key through read's failover. The returned value is a
-// fresh copy (safe to retain).
+// Get fetches key: MultiGet of one key. The returned value is a fresh
+// copy (safe to retain).
 func (cl *Cluster) Get(key []byte) (val []byte, ok bool, err error) {
-	err = cl.read(ixGet, key, func(c *kvproto.ReconnectClient) error {
-		v, hit, err := c.Get(key)
-		if err == nil && hit {
-			val = append([]byte(nil), v...)
-		}
-		ok = hit
-		return err
+	err = cl.MultiGet([][]byte{key}, func(_ int, _ uint32, v []byte) {
+		val, ok = append([]byte(nil), v...), true
 	})
 	if err != nil {
 		return nil, false, err
@@ -570,8 +530,8 @@ func (cl *Cluster) Get(key []byte) (val []byte, ok bool, err error) {
 	return val, ok, nil
 }
 
-// Gets fetches key together with its flags and cas unique, with Get's
-// exact routing. The returned value is a fresh copy (safe to retain).
+// Gets fetches key together with its flags and cas unique: MultiGets of
+// one key. The returned value is a fresh copy (safe to retain).
 //
 // Cas uniques are node-local: the unique returned here identifies a
 // version on whichever node answered. A later Cas gates on the replica
@@ -580,13 +540,8 @@ func (cl *Cluster) Get(key []byte) (val []byte, ok bool, err error) {
 // that owner's counter and the cas answers EXISTS — the caller re-reads
 // and retries, and a stale swap is never silently applied.
 func (cl *Cluster) Gets(key []byte) (val []byte, flags uint32, casid uint64, ok bool, err error) {
-	err = cl.read(ixGets, key, func(c *kvproto.ReconnectClient) error {
-		v, f, id, hit, err := c.Gets(key)
-		if err == nil && hit {
-			val = append([]byte(nil), v...)
-		}
-		flags, casid, ok = f, id, hit
-		return err
+	err = cl.MultiGets([][]byte{key}, func(_ int, f uint32, id uint64, v []byte) {
+		val, flags, casid, ok = append([]byte(nil), v...), f, id, true
 	})
 	if err != nil {
 		return nil, 0, 0, false, err
@@ -834,36 +789,38 @@ func (sc *scatter) leg(n int) {
 // delivering hits via fn in exact request order — index i refers to
 // keys[i], and val is valid only until fn returns.
 //
-// In replicated mode a sub-get that fails mid-burst gets a second
-// chance: its keys are regrouped onto their next live replica and
-// retried, and only keys with no live alternative fail. Hits from the
-// retry pass interleave with first-pass hits in exact request order.
-// If any key still has no answer, the surviving hits are delivered and
-// MultiGet returns an error naming the first failed node — the caller
-// knows the answer is partial and can degrade explicitly, the way
-// cmd/kvrouter terminates the reply with SERVER_ERROR instead of END.
+// In replicated mode a sub-get that fails mid-burst, for any reason,
+// gets exactly one retry pass: its keys are regrouped onto their next
+// live replica and retried, and a key whose retry fails too (or that
+// has no live alternative) fails. Hits from the retry pass interleave
+// with first-pass hits in exact request order. If any key still has no
+// answer, the surviving hits are delivered and MultiGet returns an
+// error naming the first failed first-pass node — the caller knows the
+// answer is partial and can degrade explicitly, the way cmd/kvrouter
+// terminates the reply with SERVER_ERROR instead of END.
 func (cl *Cluster) MultiGet(keys [][]byte, fn func(i int, flags uint32, val []byte)) error {
 	return cl.gather(keys, false, func(i int, flags uint32, _ uint64, val []byte) { fn(i, flags, val) }, nil)
 }
 
-// gather is MultiGet for get or, with cas set, gets: each hit then also
-// carries the answering node's cas unique. Uniques are node-local (see
-// Gets), so a gets scatter runs on the same owners a get would. failed,
-// when non-nil, receives each key that got no answer together with its
-// error, after every hit has been delivered.
+// MultiGets is MultiGet for gets: each hit also carries the answering
+// node's cas unique. Uniques are node-local (see Gets), so a gets
+// scatter runs on the same owners a get would.
+func (cl *Cluster) MultiGets(keys [][]byte, fn func(i int, flags uint32, casid uint64, val []byte)) error {
+	return cl.gather(keys, true, fn, nil)
+}
+
+// gather is MultiGet or, with cas set, MultiGets. failed, when non-nil,
+// receives each key that got no answer together with its error, after
+// every hit has been delivered.
 func (cl *Cluster) gather(keys [][]byte, cas bool, fn func(i int, flags uint32, casid uint64, val []byte), failed func(i int, err error)) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	ix, op := ixGet, "multiget"
+	ix, kind := ixGet, legGet
 	if cas {
-		ix, op = ixGets, "multigets"
+		ix, kind = ixGets, legGets
 	}
 	cl.m.routed[ix].Add(uint64(len(keys)))
-	kind := legGet
-	if cas {
-		kind = legGets
-	}
 	sc := cl.scatters.Get().(*scatter)
 	defer cl.scatters.Put(sc)
 	sc.reset(len(cl.pools), len(keys), kind)
@@ -967,7 +924,7 @@ func (cl *Cluster) gather(keys [][]byte, cas bool, fn func(i int, flags uint32, 
 				}
 			}
 			if err == nil {
-				err = fmt.Errorf("kvcluster: %s via %s: %w", op, cl.pools[n].addr, sc.errs[n])
+				err = fmt.Errorf("kvcluster: %s via %s: %w", ixNames[ix], cl.pools[n].addr, sc.errs[n])
 			}
 			failedKeys++
 			if firstErr == nil {

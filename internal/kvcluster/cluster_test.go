@@ -2,8 +2,10 @@ package kvcluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -263,6 +265,75 @@ func TestClusterMultiGetFailoverRetry(t *testing.T) {
 	}
 	if v, ok, err := cl.Get(key); err != nil || !ok || !bytes.Equal(v, vals[string(key)]) {
 		t.Fatalf("Get with dead primary = (%q, %v, %v), want mid-op failover hit", v, ok, err)
+	}
+}
+
+// TestClusterGetOneRetryPass: at R=3, a Get whose first two owners died
+// without being ejected fails, naming the first-pass node, even though
+// the third owner holds the value. Get is a one-key MultiGet, and a
+// failed leg gets exactly one retry pass on each key's next live owner:
+// that is the rule the router serves every get and gets by, so a
+// single-key read must not walk further than a burst would.
+func TestClusterGetOneRetryPass(t *testing.T) {
+	f, cl := replicatedCluster(t, 3, func(c *Config) {
+		c.Replicas = 3
+		c.FailThreshold = 1000 // killed owners stay un-ejected
+	})
+	key := []byte("one-retry-pass")
+	if err := cl.Set(key, 0, 0, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	owners := cl.ring.OwnerIndexes(key, 3)
+	f.Nodes[owners[0]].Kill()
+	f.Nodes[owners[1]].Kill()
+
+	v, ok, err := cl.Get(key)
+	if err == nil {
+		t.Fatalf("Get with two dead owners = (%q, %v), want the first-pass node's error", v, ok)
+	}
+	if want := "kvcluster: get via " + f.Nodes[owners[0]].Addr() + ": "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Get error %q, want it to wrap %q", err, want)
+	}
+	if errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Get error %v is ErrNodeDown; neither owner was ejected", err)
+	}
+	if got := cl.FailoverReads(); got != 1 {
+		t.Fatalf("FailoverReads = %d, want 1 (the single retry pass)", got)
+	}
+	if got := cl.m.failed[ixGet].Load(); got != 1 {
+		t.Fatalf("failed gets = %d, want 1", got)
+	}
+
+	c, err := kvproto.DialTimeout(f.Nodes[owners[2]].Addr(), 2*time.Second, 5*time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if v, ok, err := c.Get(key); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("third owner direct get = (%q, %v, %v), want its replica copy", v, ok, err)
+	}
+}
+
+// TestClusterGetMalformedKey: a key the protocol rejects fails Get with
+// the rejection itself, and no owner is ejected or moves toward it —
+// the caller's mistake says nothing about node health. The retry pass
+// covers any leg error, so the replica is asked too and rejects
+// identically. The router never sends such a key: its parser rejects it
+// first.
+func TestClusterGetMalformedKey(t *testing.T) {
+	_, cl := replicatedCluster(t, 2, nil)
+	key := bytes.Repeat([]byte("k"), 251)
+	v, ok, err := cl.Get(key)
+	if !errors.As(err, new(*kvproto.ClientError)) {
+		t.Fatalf("Get(251-byte key) = (%q, %v, %v), want a *kvproto.ClientError", v, ok, err)
+	}
+	if got := cl.FailoverReads(); got != 1 {
+		t.Fatalf("FailoverReads = %d, want 1 (the retry pass asked the replica)", got)
+	}
+	for i, p := range cl.pools {
+		if cl.Ejected(i) || p.failures.Load() != 0 {
+			t.Fatalf("node %d: ejected=%v failures=%d after a rejected key", i, cl.Ejected(i), p.failures.Load())
+		}
 	}
 }
 

@@ -18,6 +18,8 @@ package kvcluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/chaosledger"
 )
 
 // DefaultVNodes is the virtual-node count per physical node. 128 points
@@ -44,17 +46,10 @@ type Ring struct {
 	seed   uint64
 }
 
-// splitmix64 is the finalizer from Vigna's SplitMix64: full-avalanche,
-// so sequential vnode ordinals and similar addresses land uniformly.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // fnv1a folds bytes into a seeded FNV-1a state; callers finalize with
-// splitmix64 because raw FNV diffuses poorly in the high bits.
+// chaosledger.Splitmix64, whose full avalanche makes sequential vnode
+// ordinals and similar addresses land uniformly where raw FNV diffuses
+// poorly in the high bits.
 func fnv1a(seed uint64, b []byte) uint64 {
 	h := seed ^ 14695981039346656037
 	for _, c := range b {
@@ -93,7 +88,7 @@ func NewRing(nodes []string, vnodes int, seed uint64) (*Ring, error) {
 		base := fnv1a(seed, []byte(addr))
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash: splitmix64(base + uint64(v)*0x9e3779b97f4a7c15),
+				hash: chaosledger.Splitmix64(base + uint64(v)*0x9e3779b97f4a7c15),
 				node: i,
 			})
 		}
@@ -115,7 +110,7 @@ func (r *Ring) Nodes() []string { return r.nodes }
 
 // hashKey positions a key on the circle.
 func (r *Ring) hashKey(key []byte) uint64 {
-	return splitmix64(fnv1a(r.seed, key))
+	return chaosledger.Splitmix64(fnv1a(r.seed, key))
 }
 
 // OwnerIndex returns the index (into Nodes) of the node owning key: the

@@ -46,6 +46,53 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	}
 }
 
+// TestRingGoldenPlacement pins placement bit for bit: each key's ring
+// position and replica set on the 3-node seed-42 ring, as literals. The
+// test above compares rings built by the same code, so only this one
+// fails if the hash (FNV-1a folded through the SplitMix64 finalizer)
+// changes — which would move keys between every old and new router.
+func TestRingGoldenPlacement(t *testing.T) {
+	r, err := NewRing([]string{"10.0.0.1:11211", "10.0.0.2:11211", "10.0.0.3:11211"}, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := []struct {
+		key    string
+		hash   uint64
+		owners [2]int
+	}{
+		{"golden-00", 0xc91cdf9a401a67f7, [2]int{2, 0}},
+		{"golden-01", 0x9d3a9ed5bc76b43a, [2]int{1, 2}},
+		{"golden-02", 0x64fad347025da517, [2]int{2, 0}},
+		{"golden-03", 0xf2b92c2293eb41b2, [2]int{0, 2}},
+		{"golden-04", 0x2a5611333bdf4a29, [2]int{2, 0}},
+		{"golden-05", 0x2864a045b9452be4, [2]int{1, 0}},
+		{"golden-06", 0xa4a000bc59998039, [2]int{2, 1}},
+		{"golden-07", 0x4a221d1bf06ddf2a, [2]int{2, 1}},
+		{"golden-08", 0xad0dd293059e197b, [2]int{0, 1}},
+		{"golden-09", 0xd726a2f0f4ab7df5, [2]int{1, 2}},
+		{"golden-10", 0xc29476b2b0dc2abd, [2]int{1, 0}},
+		{"golden-11", 0x1e3e1f656c73efa4, [2]int{0, 2}},
+		{"golden-12", 0x3ac32af59dda7ded, [2]int{1, 0}},
+		{"golden-13", 0x9510ba589d8cf5b8, [2]int{1, 2}},
+		{"golden-14", 0xb1c2e5d4380f7feb, [2]int{0, 1}},
+		{"golden-15", 0xd57dbd75477b8e61, [2]int{0, 1}},
+	}
+	var buf [2]int
+	for _, g := range golden {
+		k := []byte(g.key)
+		if h := r.hashKey(k); h != g.hash {
+			t.Errorf("%s: ring position %#x, want %#x", g.key, h, g.hash)
+		}
+		if o := r.OwnerIndex(k); o != g.owners[0] {
+			t.Errorf("%s: OwnerIndex %d, want %d", g.key, o, g.owners[0])
+		}
+		if got := r.AppendOwnerIndexes(buf[:0], k, 2); len(got) != 2 || got[0] != g.owners[0] || got[1] != g.owners[1] {
+			t.Errorf("%s: AppendOwnerIndexes %v, want %v", g.key, got, g.owners)
+		}
+	}
+}
+
 // TestRingBalance: with DefaultVNodes points per node, no node's share
 // of a large uniform keyspace strays wildly from 1/N.
 func TestRingBalance(t *testing.T) {
