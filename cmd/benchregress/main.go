@@ -2,9 +2,10 @@
 // everything else is built on: a plain LRU probe-and-fill
 // (Cache.AccessTag), a full adaptive access (real array + two shadow
 // arrays + history), the adaptivekv get/set/cas paths, and the metrics
-// histogram record primitive every kvserver latency observation runs
-// through — plus, optionally, the wall clock of the ExtendedSet macro
-// sweep. It writes the results to a JSON file:
+// histogram record primitives every kvserver latency observation runs
+// through (one sample, and one run of 64 samples) — plus, optionally,
+// the wall clock of the ExtendedSet macro sweep. It writes the results
+// to a JSON file:
 //
 //	benchregress                        # measure, write BENCH_hotpath.json
 //	benchregress -macro-n 0             # hot-path loops only (fast)
@@ -125,7 +126,7 @@ func realMain(n, macroN uint64, out string, check bool, tol float64) error {
 		GoArch:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		HotPath:    []Entry{measureLRU(n), measureAdaptive(n), measureKVGet(n), measureKVGetTTL(n), measureKVSet(n), measureHistogram(n)},
+		HotPath:    []Entry{measureLRU(n), measureAdaptive(n), measureKVGet(n), measureKVGetTTL(n), measureKVSet(n), measureHistogram(n), measureHistogramN(n)},
 	}
 	for _, procs := range []int{1, 2, 4, 8} {
 		if procs > rep.NumCPU {
@@ -299,6 +300,23 @@ func measureHistogram(n uint64) Entry {
 	return measure("metrics/Record", n, 1, gateSerial, func(rng uint64) {
 		h.RecordNS(int64(rng % 50_000_000)) // spread over ~21 octaves of buckets
 	})
+}
+
+// measureHistogramN times metrics.Histogram.RecordN with 64 samples per
+// call, the way kvserver records a get or set run's per-key latencies,
+// and reports per sample so the row reads next to metrics/Record. Like
+// RecordNS it must not allocate.
+func measureHistogramN(n uint64) Entry {
+	const per = 64
+	h := new(metrics.Histogram)
+	e := measure("metrics/RecordN", max(n/per, 1), 1, gateSerial, func(rng uint64) {
+		h.RecordN(int64(rng%50_000_000), per)
+	})
+	e.Accesses *= per
+	e.NSPerAccess /= per
+	e.AccessesPerSec *= per
+	e.AllocsPerAccess /= per
+	return e
 }
 
 // contendedCache builds the single hot shard the contended rows hammer

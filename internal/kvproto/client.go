@@ -16,9 +16,11 @@ type deadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// Client is a minimal synchronous client for the protocol: one outstanding
-// request per Client, no pipelining. cmd/kvloadgen runs one Client per
-// connection goroutine; tests use it to talk to cmd/adaptcached.
+// Client is a protocol client for one goroutine. The synchronous calls
+// (Get, Set, MultiGet, ...) are one-request batches; the pipelined
+// interface (SendXxx, Flush, ReadXxxReply) queues any number of requests
+// and reads their replies in request order. cmd/kvloadgen runs one Client
+// per connection goroutine; tests use it to talk to cmd/adaptcached.
 //
 // Get's returned value aliases an internal buffer valid until the next
 // call, keeping the request loop allocation-light.
@@ -31,12 +33,36 @@ type deadliner interface {
 type Client struct {
 	conn io.ReadWriteCloser
 	dl   deadliner // nil when conn cannot carry deadlines
+	rd   replyReader
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	val  []byte
 
-	readTimeout  time.Duration
 	writeTimeout time.Duration
+}
+
+// replyReader sits between Client.br and the connection and arms the
+// read deadline lazily. Each reply read starts by clearing armed (a bool
+// store); the first connection read after that sets the deadline. A
+// reply already buffered arms nothing, and one that waits on the network
+// gets exactly one deadline covering all of its reads.
+type replyReader struct {
+	conn    io.Reader
+	dl      deadliner // nil when conn cannot carry deadlines
+	timeout time.Duration
+	armed   bool
+}
+
+func (r *replyReader) Read(p []byte) (int, error) {
+	if !r.armed {
+		r.armed = true
+		if r.dl != nil && r.timeout > 0 {
+			if err := r.dl.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return r.conn.Read(p)
 }
 
 // Dial connects to a protocol server at addr (host:port).
@@ -62,28 +88,26 @@ func DialTimeout(addr string, dialTO, readTO, writeTO time.Duration) (*Client, e
 
 // NewClient wraps an established connection.
 func NewClient(conn io.ReadWriteCloser) *Client {
-	c := &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 4096),
-		bw:   bufio.NewWriterSize(conn, 4096),
-	}
+	c := &Client{conn: conn, bw: bufio.NewWriterSize(conn, 4096)}
 	c.dl, _ = conn.(deadliner)
+	c.rd = replyReader{conn: conn, dl: c.dl}
+	c.br = bufio.NewReaderSize(&c.rd, 4096)
 	return c
 }
 
-// SetTimeouts arms per-operation deadlines: read covers one reply
-// (re-armed at the start of each ReadXxxReply/Stats call), write covers
-// one Flush. Zero disables a bound. No-op when the underlying stream
-// cannot carry deadlines.
+// SetTimeouts arms per-operation deadlines. read bounds one reply: it is
+// armed once, at the reply's first network read (a ReadXxxReply, Stats
+// or multi-key reply served from already-buffered bytes arms nothing),
+// and covers every read of that reply. write covers one Flush. Zero
+// disables a bound. No-op when the underlying stream cannot carry
+// deadlines.
 func (c *Client) SetTimeouts(read, write time.Duration) {
-	c.readTimeout, c.writeTimeout = read, write
+	c.rd.timeout, c.writeTimeout = read, write
 }
 
-func (c *Client) armRead() {
-	if c.dl != nil && c.readTimeout > 0 {
-		c.dl.SetReadDeadline(time.Now().Add(c.readTimeout))
-	}
-}
+// beginReply marks a reply boundary: the next network read arms the
+// read deadline.
+func (c *Client) beginReply() { c.rd.armed = false }
 
 func (c *Client) armWrite() {
 	if c.dl != nil && c.writeTimeout > 0 {
@@ -215,7 +239,7 @@ func (c *Client) ReadGetReply() (val []byte, ok bool, err error) {
 // readOne consumes a single-key get or gets reply: END, or one VALUE
 // block (with its cas unique when cas is set) then END.
 func (c *Client) readOne(cas bool) (val []byte, flags uint32, casid uint64, ok bool, err error) {
-	c.armRead()
+	c.beginReply()
 	line, err := c.readLine()
 	if err != nil {
 		return nil, 0, 0, false, err
@@ -335,7 +359,7 @@ func (c *Client) SendCas(key []byte, flags uint32, exptime int64, casid uint64, 
 
 // ReadCasReply consumes one cas response.
 func (c *Client) ReadCasReply() (CasStatus, error) {
-	c.armRead()
+	c.beginReply()
 	line, err := c.readLine()
 	if err != nil {
 		return CasNotFound, err
@@ -393,9 +417,9 @@ func (c *Client) ReadMultiGetReply(keys [][]byte, fn func(i int, flags uint32, v
 // readValues consumes one multi-key get (or, with cas, gets) response,
 // handing each hit to fn with its index into keys plus off.
 func (c *Client) readValues(keys [][]byte, off int, cas bool, fn func(i int, flags uint32, casid uint64, val []byte)) error {
+	c.beginReply()
 	next := 0
 	for {
-		c.armRead()
 		line, err := c.readLine()
 		if err != nil {
 			return err
@@ -507,7 +531,7 @@ func (c *Client) SendNoop() { c.bw.WriteString("noop\r\n") }
 
 // ReadNoopReply consumes one noop response.
 func (c *Client) ReadNoopReply() error {
-	c.armRead()
+	c.beginReply()
 	line, err := c.readLine()
 	if err != nil {
 		return err
@@ -533,7 +557,7 @@ func (c *Client) SendFlushAll() { c.bw.WriteString("flush_all\r\n") }
 
 // ReadFlushAllReply consumes one flush_all response.
 func (c *Client) ReadFlushAllReply() error {
-	c.armRead()
+	c.beginReply()
 	line, err := c.readLine()
 	if err != nil {
 		return err
@@ -567,7 +591,7 @@ func (c *Client) Set(key []byte, flags uint32, exptime int64, val []byte) error 
 
 // ReadSetReply consumes one set response.
 func (c *Client) ReadSetReply() error {
-	c.armRead()
+	c.beginReply()
 	line, err := c.readLine()
 	if err != nil {
 		return err
@@ -589,7 +613,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 
 // ReadDeleteReply consumes one delete response.
 func (c *Client) ReadDeleteReply() (bool, error) {
-	c.armRead()
+	c.beginReply()
 	line, err := c.readLine()
 	if err != nil {
 		return false, err
@@ -610,9 +634,9 @@ func (c *Client) Stats() (map[string]string, error) {
 	if err := c.Flush(); err != nil {
 		return nil, err
 	}
+	c.beginReply()
 	stats := make(map[string]string)
 	for {
-		c.armRead()
 		line, err := c.readLine()
 		if err != nil {
 			return nil, err

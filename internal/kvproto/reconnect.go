@@ -20,8 +20,10 @@ var ErrUnacked = errors.New("kvproto: request sent but not acknowledged")
 // ReconnectConfig tunes ReconnectClient's redial and retry behavior.
 // Zero values take the defaults noted on each field.
 type ReconnectConfig struct {
-	DialTimeout  time.Duration // per-dial bound (default 2s)
-	ReadTimeout  time.Duration // per-reply bound (default 5s)
+	DialTimeout time.Duration // per-dial bound (default 2s)
+	// ReadTimeout bounds one reply: it is armed at the reply's first
+	// network read and covers all of its reads (default 5s).
+	ReadTimeout  time.Duration
 	WriteTimeout time.Duration // per-flush bound (default 5s)
 
 	MaxAttempts int           // attempts per operation, including the first (default 8)

@@ -129,14 +129,22 @@ func (h *Histogram) Record(d time.Duration) { h.RecordNS(int64(d)) }
 
 // RecordNS adds one observation of ns nanoseconds. It performs no
 // allocation and takes no lock (cmd/benchregress enforces the former).
-func (h *Histogram) RecordNS(ns int64) {
+func (h *Histogram) RecordNS(ns int64) { h.RecordN(ns, 1) }
+
+// RecordN adds n observations of ns nanoseconds each — what n RecordNS
+// calls would record, with one bucket, count and sum add and one max
+// update. n <= 0 records nothing.
+func (h *Histogram) RecordN(ns int64, n int) {
+	if n <= 0 {
+		return
+	}
 	if ns < 0 {
 		ns = 0
 	}
 	v := uint64(ns)
-	h.counts[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.counts[bucketIndex(v)].Add(uint64(n))
+	h.count.Add(uint64(n))
+	h.sum.Add(v * uint64(n))
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {

@@ -101,6 +101,34 @@ func TestRecordZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRecordNMatchesRepeatedRecord: RecordN(ns, n) leaves a histogram
+// exactly as n RecordNS(ns) calls would — buckets, count, sum and max —
+// and n <= 0 records nothing.
+func TestRecordNMatchesRepeatedRecord(t *testing.T) {
+	var bulk, single Histogram
+	for _, s := range []struct {
+		ns int64
+		n  int
+	}{{0, 3}, {-5, 2}, {31, 1}, {1500, 64}, {7_000_000, 17}, {42, 0}, {42, -3}} {
+		bulk.RecordN(s.ns, s.n)
+		for i := 0; i < s.n; i++ {
+			single.RecordNS(s.ns)
+		}
+	}
+	if bulk.Count() != single.Count() || bulk.Sum() != single.Sum() || bulk.Max() != single.Max() {
+		t.Fatalf("RecordN: count/sum/max %d/%v/%v, RecordNS: %d/%v/%v",
+			bulk.Count(), bulk.Sum(), bulk.Max(), single.Count(), single.Sum(), single.Max())
+	}
+	for i := range bulk.counts {
+		if b, s := bulk.counts[i].Load(), single.counts[i].Load(); b != s {
+			t.Fatalf("bucket %d: RecordN %d, RecordNS %d", i, b, s)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { bulk.RecordN(12345, 64) }); n != 0 {
+		t.Errorf("Histogram.RecordN allocates %.2f/op, want 0", n)
+	}
+}
+
 // TestPrometheusExposition: a registry with every metric kind, labeled
 // families, and a collector renders exposition that Lint accepts and
 // that contains the expected series.
